@@ -10,9 +10,11 @@ MOQA_DEGENERACY_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigurationError,
-    DegenerateGapError,
-    DimensionMismatchError,
-    GenerationError,
-    HermiticityError,
     InstanceFormatError,
-    InvalidInitialValuesError,
     InvalidLinearizationError,
     MoqaError,
-    NormalizationError,
-    ResolutionFailureError,
-    UnresolvableDegeneracyError,
 )
 from .evolution import DEFAULT_STEPS, evolve, measure, write_histogram_csv
 from .hamiltonians import DEFAULT_INITIAL_SCALE, build_final, build_initial
@@ -52,6 +46,13 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_UNRESOLVABLE = 3
 EXIT_NUMERICAL = 4
+
+# The stderr line of a failure starts with the prefix of its exit code.
+_FAILURE_PREFIX = {
+    EXIT_IO: "error",
+    EXIT_UNRESOLVABLE: "unresolvable degeneracy",
+    EXIT_NUMERICAL: "numerical failure",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +76,8 @@ def _env_degeneracy_tol() -> float:
         raise ConfigurationError(
             f"MOQA_DEGENERACY_TOL={raw!r} is not a number"
         ) from None
+    if not np.isfinite(tol):
+        raise ConfigurationError(f"MOQA_DEGENERACY_TOL={raw!r} is not finite")
     if tol < 0:
         raise ConfigurationError("MOQA_DEGENERACY_TOL must be nonnegative")
     return tol
@@ -207,15 +210,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _header(inst: McoInstance) -> dict:
+    return {"n": inst.n, "d": inst.d, "label_offset": inst.label_offset}
+
+
+def _fan_out(args, payload_for) -> int:
+    """Emit payload_for(w, path_for) for each --w weighting in turn.
+
+    path_for maps an output path to this weighting's path: unchanged for a
+    single weighting, with a .w<k> suffix before the extension otherwise.
+    Each payload is written before the next weighting is parsed.
+    """
+    many = len(args.weights) > 1
+    for k, wtext in enumerate(args.weights):
+        path_for = functools.partial(_suffixed, k=k, many=many)
+        _emit(payload_for(_parse_weights(wtext), path_for), path_for(args.output))
+    return EXIT_OK
+
+
 def _cmd_validate(args) -> int:
     inst = _load_instance(args)
     report = validate(inst, collision_scope=args.collision_scope)
     payload = {
-        "n": inst.n,
-        "d": inst.d,
-        "label_offset": inst.label_offset,
+        **_header(inst),
         "lambda": None if inst.lam is None else [float(v) for v in inst.lam],
-        "report": report.to_dict(),
+        "report": asdict(report),
         "pass": report.all_pass,
     }
     _emit(payload, args.output)
@@ -226,9 +245,7 @@ def _cmd_front(args) -> int:
     inst = _load_instance(args)
     cls = supported_solutions(inst, grid_subdivisions=args.grid_subdivisions)
     payload = {
-        "n": inst.n,
-        "d": inst.d,
-        "label_offset": inst.label_offset,
+        **_header(inst),
         "method": cls.method,
         "grid_subdivisions": cls.grid_subdivisions,
     }
@@ -243,25 +260,22 @@ def _cmd_front(args) -> int:
 def _cmd_gap_scan(args) -> int:
     inst = _load_instance(args)
     h0 = build_initial(inst.n, scale=args.initial_scale)
-    many = len(args.weights) > 1
-    for k, wtext in enumerate(args.weights):
-        w = _parse_weights(wtext)
+
+    def payload_for(w, path_for):
         hw = build_final(inst, w)
         curve = gap_scan(h0, hw, points=args.points)
-        curve_path = _suffixed(args.curve, k, many)
+        curve_path = path_for(args.curve)
         curve.to_csv(curve_path)
         dmax = delta_max(h0, hw)
         est = runtime_estimate(curve.g_min, dmax, delta=args.delta)
         if inst.lam is not None:
             diag = end_gap_diagnostics(inst, w, gap_curve=curve)
-            diag_payload = diag.to_dict()
+            diag_payload = asdict(diag)
             diag_payload["minimizer_label"] = inst.label(diag.minimizer)
         else:
             diag_payload = None
-        payload = {
-            "n": inst.n,
-            "d": inst.d,
-            "label_offset": inst.label_offset,
+        return {
+            **_header(inst),
             "weights": list(w.as_tuple()),
             "initial_scale": float(args.initial_scale),
             "points": int(args.points),
@@ -270,19 +284,12 @@ def _cmd_gap_scan(args) -> int:
             "gap_at_start": float(curve.gap[0]),
             "gap_at_end": float(curve.gap[-1]),
             "delta_max": dmax,
-            "runtime": {
-                "g_min": est.g_min,
-                "delta_max": est.delta_max,
-                "delta": est.delta,
-                "gap_floor": est.gap_floor,
-                "t_heuristic": est.t_heuristic,
-                "t_rigorous": est.t_rigorous,
-            },
+            "runtime": asdict(est),
             "diagnostics": diag_payload,
             "curve_csv": str(curve_path),
         }
-        _emit(payload, _suffixed(args.output, k, many))
-    return EXIT_OK
+
+    return _fan_out(args, payload_for)
 
 
 def _cmd_resolve(args) -> int:
@@ -298,43 +305,45 @@ def _cmd_resolve(args) -> int:
             sys.stderr.write(f"  {msg}\n")
         return EXIT_VALIDATION
     tol = args.degeneracy_tol if args.degeneracy_tol is not None else _env_degeneracy_tol()
-    many = len(args.weights) > 1
-    for k, wtext in enumerate(args.weights):
-        w = _parse_weights(wtext)
+
+    def payload_for(w, path_for):
         cert = resolve(inst, w, tie_tol=tol)
-        payload = {
-            "n": inst.n,
-            "d": inst.d,
-            "label_offset": inst.label_offset,
-            "certificate": cert.to_dict(),
+        return {
+            **_header(inst),
+            "certificate": asdict(cert),
             "chosen_label": inst.label(cert.chosen_index),
             "tied_labels": [inst.label(x) for x in cert.tied_indices],
         }
-        _emit(payload, _suffixed(args.output, k, many))
-    return EXIT_OK
+
+    return _fan_out(args, payload_for)
 
 
 def _cmd_evolve(args) -> int:
+    if args.shots < 0:
+        raise ConfigurationError(f"shots must be >= 0, got {args.shots}")
     inst = _load_instance(args)
     h0 = build_initial(inst.n, scale=args.initial_scale)
     tol = args.degeneracy_tol if args.degeneracy_tol is not None else _env_degeneracy_tol()
-    many = len(args.weights) > 1
-    for k, wtext in enumerate(args.weights):
-        w = _parse_weights(wtext)
+
+    def payload_for(w, path_for):
         hw = build_final(inst, w)
         result = evolve(h0, hw, args.total_time, steps=args.steps, tie_tol=tol)
         hist_path = None
         if args.shots > 0:
             counts = measure(result.final_state, args.shots, seed=args.seed)
-            hist_path = _suffixed(args.histogram, k, many)
+            hist_path = path_for(args.histogram)
             write_histogram_csv(counts, hist_path)
-        payload = {
-            "n": inst.n,
-            "d": inst.d,
-            "label_offset": inst.label_offset,
+        fields = asdict(result)
+        del fields["final_state"]
+        return {
+            **_header(inst),
             "weights": list(w.as_tuple()),
             "initial_scale": float(args.initial_scale),
-            "result": result.to_dict(),
+            "result": {
+                "dim": result.final_state.size,
+                **fields,
+                "distribution": result.distribution.tolist(),
+            },
             "target_label": (
                 None if result.target_index is None else inst.label(result.target_index)
             ),
@@ -342,8 +351,8 @@ def _cmd_evolve(args) -> int:
             "seed": args.seed,
             "histogram_csv": None if hist_path is None else str(hist_path),
         }
-        _emit(payload, _suffixed(args.output, k, many))
-    return EXIT_OK
+
+    return _fan_out(args, payload_for)
 
 
 def _cmd_bench_export(args) -> int:
@@ -356,24 +365,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except (InstanceFormatError, InvalidLinearizationError, ConfigurationError,
-            InvalidInitialValuesError, DimensionMismatchError, GenerationError,
-            OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except UnresolvableDegeneracyError as exc:
-        sys.stderr.write(f"unresolvable degeneracy: {exc}\n")
-        return EXIT_UNRESOLVABLE
-    except (ResolutionFailureError, DegenerateGapError, HermiticityError,
-            NormalizationError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
     except MoqaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+        return _fail(exc.exit_code, exc)
+    except (_UsageError, OSError, json.JSONDecodeError) as exc:
+        return _fail(EXIT_IO, exc)
+    except np.linalg.LinAlgError as exc:
+        return _fail(EXIT_NUMERICAL, exc)
+
+
+def _fail(code: int, exc: BaseException) -> int:
+    sys.stderr.write(f"{_FAILURE_PREFIX[code]}: {exc}\n")
+    return code
 
 
 if __name__ == "__main__":

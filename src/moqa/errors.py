@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class carries the CLI exit code it maps to: 1 for bad input or
+configuration, 3 for an unresolvable degeneracy, 4 for a numerical failure.
+"""
 
 from __future__ import annotations
 
@@ -6,21 +10,31 @@ from __future__ import annotations
 class MoqaError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 4
+
 
 class DimensionMismatchError(MoqaError):
     """Operands disagree on objective count, domain size, or vector length."""
+
+    exit_code = 1
 
 
 class InstanceFormatError(MoqaError):
     """An instance table or its serialized form violates the format contract."""
 
+    exit_code = 1
+
 
 class InvalidLinearizationError(MoqaError):
     """A weight vector is not a valid convex-combination weighting."""
 
+    exit_code = 1
+
 
 class InvalidInitialValuesError(MoqaError):
     """Initial-Hamiltonian penalty values violate their constraints."""
+
+    exit_code = 1
 
 
 class HermiticityError(MoqaError):
@@ -38,6 +52,8 @@ class DegenerateGapError(MoqaError):
 class UnresolvableDegeneracyError(MoqaError):
     """Tied minimizers have identical objective rows; no reweighting splits them."""
 
+    exit_code = 3
+
 
 class ResolutionFailureError(MoqaError):
     """The tie-breaking search exhausted its candidates without success."""
@@ -50,6 +66,10 @@ class ResolutionFailureError(MoqaError):
 class GenerationError(MoqaError):
     """Benchmark-instance generation could not satisfy its constraints."""
 
+    exit_code = 1
+
 
 class ConfigurationError(MoqaError):
     """A required parameter is missing or out of range."""
+
+    exit_code = 1

@@ -10,6 +10,7 @@ stays at machine-precision level and is tracked, not corrected.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -65,18 +66,6 @@ class EvolutionResult:
     degenerate_target: bool
     distribution: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": int(self.final_state.size),
-            "total_time": self.total_time,
-            "steps": self.steps,
-            "norm_drift": self.norm_drift,
-            "target_index": self.target_index,
-            "ground_fidelity": self.ground_fidelity,
-            "degenerate_target": self.degenerate_target,
-            "distribution": [float(p) for p in self.distribution],
-        }
-
 
 def evolve(
     h0: InitialHamiltonian,
@@ -107,6 +96,10 @@ def evolve(
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     if total_time < 0 or not np.isfinite(total_time):
         raise ConfigurationError(f"total_time must be finite and >= 0, got {total_time}")
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ConfigurationError(f"steps must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     if psi0 is None:
@@ -120,6 +113,8 @@ def evolve(
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {norm!r} is not 1")
+
+    report = degeneracy_check(hw, tie_tol)
 
     check = commutes(h0, hw)
     if check.commuting:
@@ -140,7 +135,6 @@ def evolve(
             psi = vecs @ (phases * (vecs.conj().T @ psi))
             drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
 
-    report = degeneracy_check(hw, tie_tol)
     if report.multiplicity == 1:
         target: int | None = report.witnesses[0]
         fidelity: float | None = float(np.abs(psi[target]) ** 2)

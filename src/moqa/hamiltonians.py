@@ -11,9 +11,7 @@ point s is H(s) = (1 - s) * H_initial + s * H_final.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .errors import (
     HermiticityError,
     InvalidInitialValuesError,
 )
-from .instance_io import write_text_atomic
 from .mco import Linearization, McoInstance, scalarize
 
 #: Driver-Hamiltonian prefactor used by the bundled experiments.
@@ -113,9 +110,7 @@ class InitialHamiltonian:
             out = np.full((dim, dim), -self.scale / dim)
             np.fill_diagonal(out, self.scale * (1.0 - 1.0 / dim))
             return out
-        mat = np.diag(self.h_values).astype(np.float64)
-        mat = np.apply_along_axis(hadamard_transform, 0, mat)
-        mat = np.apply_along_axis(hadamard_transform, 1, mat)
+        mat = hadamard_transform(hadamard_transform(np.diag(self.h_values)).T)
         mat *= self.scale
         return 0.5 * (mat + mat.T)
 
@@ -139,26 +134,29 @@ def build_initial(
 
 
 def hadamard_transform(vec) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform of a vector.
+    """Orthonormal fast Walsh-Hadamard transform along axis 0.
 
     Each butterfly stage carries a 1/sqrt(2) factor, so the transform is
     its own inverse and preserves the Euclidean norm.  Runs in
-    O(N log N) on a copy of the input; the input must have power-of-two
-    length.
+    O(N log N) per column on a copy of the input; axis 0 must have
+    power-of-two length.  A matrix argument is transformed column by
+    column, so hadamard_transform(M) is H @ M.
     """
-    out = np.array(vec, dtype=np.complex128 if np.iscomplexobj(vec) else np.float64)
-    size = out.size
-    if out.ndim != 1 or size < 1 or (size & (size - 1)):
+    # A C-ordered copy, so that the reshapes below are views into it.
+    out = np.array(
+        vec, dtype=np.complex128 if np.iscomplexobj(vec) else np.float64, order="C"
+    )
+    size = out.shape[0] if out.ndim else 0
+    if size < 1 or (size & (size - 1)):
         raise DimensionMismatchError("length must be a power of two")
     half = 1
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     while half < size:
-        out = out.reshape(-1, 2 * half)
-        a = out[:, :half].copy()
-        b = out[:, half:].copy()
-        out[:, :half] = (a + b) * inv_sqrt2
-        out[:, half:] = (a - b) * inv_sqrt2
-        out = out.reshape(-1)
+        blocks = out.reshape(-1, 2, half, *out.shape[1:])
+        a = blocks[:, 0].copy()
+        b = blocks[:, 1].copy()
+        blocks[:, 0] = (a + b) * inv_sqrt2
+        blocks[:, 1] = (a - b) * inv_sqrt2
         half *= 2
     return out
 
@@ -202,13 +200,6 @@ def interpolation_dense(
     return mat
 
 
-def assemble(
-    h0: InitialHamiltonian, hw: DiagonalHamiltonian, s: float
-) -> HermitianOperator:
-    """Interpolated Hamiltonian at schedule point s as a checked operator."""
-    return HermitianOperator(interpolation_dense(h0, hw, s).astype(np.complex128))
-
-
 @dataclass(frozen=True)
 class CommutatorCheck:
     """Spectral norm of [H_initial, H_final] against a threshold."""
@@ -236,31 +227,3 @@ def commutes(
     norm = float(np.linalg.norm(comm, 2))
     return CommutatorCheck(norm=norm, tol=float(tol), commuting=norm <= tol)
 
-
-def dump_operator(op: HermitianOperator, path) -> None:
-    """Write an operator as CSV: a dim comment, then re,im rows row-major."""
-    lines = [f"# dim={op.dim}", "re,im"]
-    flat = op.entries.reshape(-1)
-    for z in flat:
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_operator(path) -> HermitianOperator:
-    """Read an operator written by dump_operator."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# dim="):
-            raise ConfigurationError(f"{path}: missing dim header")
-        dim = int(first.split("=", 1)[1])
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["re", "im"]:
-            raise ConfigurationError(f"{path}: expected re,im header, got {header}")
-        vals = [complex(float(re), float(im)) for re, im in reader]
-    if len(vals) != dim * dim:
-        raise ConfigurationError(
-            f"{path}: expected {dim * dim} entries, got {len(vals)}"
-        )
-    return HermitianOperator(np.asarray(vals).reshape(dim, dim))

@@ -474,22 +474,6 @@ class ValidationReport:
     def all_pass(self) -> bool:
         return self.well_formed and self.normal and self.collision_free is not False
 
-    def to_dict(self) -> dict:
-        return {
-            "well_formed": self.well_formed,
-            "zero_indices": [list(z) for z in self.zero_indices],
-            "normal": self.normal,
-            "shared_optima": [list(t) for t in self.shared_optima],
-            "collision_free": self.collision_free,
-            "collision_witness": (
-                None
-                if self.collision_witness is None
-                else list(self.collision_witness)
-            ),
-            "collision_scope": self.collision_scope,
-            "messages": list(self.messages),
-        }
-
 
 def validate(
     inst: McoInstance,

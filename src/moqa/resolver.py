@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    InvalidLinearizationError,
     ResolutionFailureError,
     UnresolvableDegeneracyError,
 )
@@ -74,17 +75,6 @@ class ResolutionCertificate:
     chosen_index: int
     tied_indices: tuple[int, ...]
     m_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "original_weights": list(self.original_weights),
-            "resolved_weights": list(self.resolved_weights),
-            "l1_distance": self.l1_distance,
-            "radius": self.radius,
-            "chosen_index": self.chosen_index,
-            "tied_indices": list(self.tied_indices),
-            "m_value": self.m_value,
-        }
 
 
 def resolve(
@@ -174,7 +164,7 @@ def _check_candidate(
 ) -> ResolutionCertificate | None:
     try:
         lin = Linearization(candidate)
-    except Exception:
+    except InvalidLinearizationError:
         return None
     scal = scalarize(inst, lin)
     min_val = float(scal.min())

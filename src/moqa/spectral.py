@@ -160,6 +160,8 @@ def degeneracy_check(
     hw: DiagonalHamiltonian, tol: float = DEGENERACY_TOL
 ) -> DegeneracyReport:
     """Find every diagonal entry within tol of the minimum."""
+    if not np.isfinite(tol):
+        raise ConfigurationError(f"tolerance must be finite, got {tol!r}")
     if tol < 0:
         raise ConfigurationError("tolerance must be nonnegative")
     diag = hw.diagonal
@@ -171,12 +173,6 @@ def degeneracy_check(
         witnesses=witnesses,
         tol=float(tol),
     )
-
-
-def operator_norm(op: HermitianOperator) -> float:
-    """Spectral norm (largest absolute eigenvalue) of a Hermitian operator."""
-    vals = np.linalg.eigvalsh(op.entries)
-    return float(np.max(np.abs(vals)))
 
 
 def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
@@ -297,23 +293,6 @@ class EndGapDiagnostics:
     end_gap_meets_weighted_separation: bool
     scan_g_min: float | None = None
     min_gap_attained_at_end: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "separations": list(self.separations),
-            "min_weighted_value": self.min_weighted_value,
-            "second_weighted_value": self.second_weighted_value,
-            "end_gap": self.end_gap,
-            "weighted_separation": self.weighted_separation,
-            "minimizer": self.minimizer,
-            "tied_minimizers": list(self.tied_minimizers),
-            "minimizer_is_trivial": self.minimizer_is_trivial,
-            "min_exceeds_weighted_separation": self.min_exceeds_weighted_separation,
-            "end_gap_meets_weighted_separation": self.end_gap_meets_weighted_separation,
-            "scan_g_min": self.scan_g_min,
-            "min_gap_attained_at_end": self.min_gap_attained_at_end,
-        }
 
 
 def end_gap_diagnostics(

@@ -1,6 +1,8 @@
 """Command-line interface tests: exit codes, payload schemas, file formats.
 
-Commands run in-process through main(). Two smoke tests run the packaging
+Commands run in-process through main(). Outputs that do not depend on the
+BLAS build are pinned byte for byte against files in tests/golden/; for the
+others the key order is pinned. Two smoke tests run the packaging
 entry points in a separate process: the `moqa` console script (the installed
 executable, or else the `[project.scripts]` target declared in
 pyproject.toml) and `python -m moqa`.
@@ -8,6 +10,7 @@ pyproject.toml) and `python -m moqa`.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +22,7 @@ import pytest
 from jsonschema import validate as check_schema
 
 import moqa
-from moqa import McoInstance, write_instance
+from moqa import McoInstance, MoqaError, cli, errors, write_instance
 from moqa.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -28,6 +31,10 @@ from moqa.cli import (
     EXIT_VALIDATION,
     main,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load_schema(name: str) -> dict:
@@ -141,6 +148,61 @@ def test_front_partitions_front(tmp_path, tie_csv):
     assert set(payload["supported"]) | set(payload["nonsupported"]) == set(
         payload["pareto"]
     )
+
+
+# ---------------------------------------------------------------------------
+# exact output
+
+
+# golden file stem -> command line; TIE stands for the tie_csv fixture's path
+GOLDEN_RUNS = {
+    "validate_builtin": ["validate", "--builtin"],
+    "front_builtin": ["front", "--builtin"],
+    "resolve_tie": ["resolve", "TIE", "--w", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_output_bytes_match_golden(capsys, tie_csv, name):
+    code = main([tie_csv if a == "TIE" else a for a in GOLDEN_RUNS[name]])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_gap_scan_key_order(tmp_path, tie_csv):
+    _, payload = run_json(
+        tmp_path, "gap-scan", tie_csv, "--w", "0.25", "--points", "8",
+        "--curve", str(tmp_path / "c.csv"),
+    )
+    assert list(payload) == [
+        "n", "d", "label_offset", "weights", "initial_scale", "points", "g_min",
+        "s_at_min", "gap_at_start", "gap_at_end", "delta_max", "runtime",
+        "diagnostics", "curve_csv",
+    ]
+    assert list(payload["runtime"]) == [
+        "g_min", "delta_max", "delta", "gap_floor", "t_heuristic", "t_rigorous",
+    ]
+    assert list(payload["diagnostics"]) == [
+        "weights", "separations", "min_weighted_value", "second_weighted_value",
+        "end_gap", "weighted_separation", "minimizer", "tied_minimizers",
+        "minimizer_is_trivial", "min_exceeds_weighted_separation",
+        "end_gap_meets_weighted_separation", "scan_g_min",
+        "min_gap_attained_at_end", "minimizer_label",
+    ]
+
+
+def test_evolve_key_order(tmp_path, tie_csv):
+    _, payload = run_json(
+        tmp_path, "evolve", tie_csv, "--w", "0.25", "--T", "5", "--steps", "4"
+    )
+    assert list(payload) == [
+        "n", "d", "label_offset", "weights", "initial_scale", "result",
+        "target_label", "shots", "seed", "histogram_csv",
+    ]
+    assert list(payload["result"]) == [
+        "dim", "total_time", "steps", "norm_drift", "target_index",
+        "ground_fidelity", "degenerate_target", "distribution",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +349,24 @@ def test_env_tolerance_override_numeric(tmp_path, tie_csv, monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["env", "flag"])
+@pytest.mark.parametrize(
+    "command",
+    [["resolve", "--w", "0.5"], ["evolve", "--w", "0.25", "--T", "5", "--steps", "4"]],
+    ids=["resolve", "evolve"],
+)
+def test_non_finite_tolerance_rejected(tmp_path, tie_csv, monkeypatch, command,
+                                       source, value):
+    argv = [command[0], tie_csv, *command[1:], "--output", str(tmp_path / "o.json")]
+    if source == "env":
+        monkeypatch.setenv("MOQA_DEGENERACY_TOL", value)
+    else:
+        argv += ["--degeneracy-tol", value]
+    assert main(argv) == EXIT_IO
+    assert not (tmp_path / "o.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -335,12 +415,70 @@ def test_evolve_requires_duration(tie_csv):
     assert code == EXIT_IO
 
 
+def test_evolve_negative_shots_rejected_before_the_schedule(
+    tmp_path, tie_csv, monkeypatch
+):
+    def schedule_ran(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(cli, "evolve", schedule_ran)
+    out = tmp_path / "evo.json"
+    code = main(["evolve", tie_csv, "--w", "0.25", "--T", "5", "--shots", "-1",
+                 "--output", str(out)])
+    assert code == EXIT_IO
+    assert not out.exists()
+
+
 def test_evolve_no_shots_no_histogram(tmp_path, tie_csv):
     code, payload = run_json(
         tmp_path, "evolve", tie_csv, "--w", "0.25", "--T", "5", "--steps", "16"
     )
     assert code == EXIT_OK
     assert payload["histogram_csv"] is None
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+def readme_exit_codes() -> dict:
+    """Error class name -> (exit code, stderr prefix), from the README's
+    exit-code table."""
+    table = {}
+    for line in (REPO / "README.md").read_text().splitlines():
+        row = re.match(r"\| `(\d)` \| [^|]* \| `?([^|`]*)`? \| (.*) \|$", line)
+        if row:
+            for name in re.findall(r"`(?:\w+\.)*(\w+Error)`", row.group(3)):
+                table[name] = (int(row.group(1)), row.group(2))
+    return table
+
+
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, MoqaError)
+]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        *(cls("boom") for cls in ERROR_CLASSES),
+        OSError("boom"),
+        json.JSONDecodeError("boom", "", 0),
+        np.linalg.LinAlgError("boom"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_exit_codes_match_readme_table(monkeypatch, capsys, exc):
+    code, prefix = readme_exit_codes()[type(exc).__name__]
+    if isinstance(exc, MoqaError):
+        assert exc.exit_code == code
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "validate", fail)
+    assert main(["validate", "--builtin"]) == code
+    assert capsys.readouterr().err == f"{prefix} {exc}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +503,7 @@ def test_bench_export_round_trip(tmp_path):
 # packaging entry points
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PYPROJECT = REPO / "pyproject.toml"
 
 # What a generated console-script wrapper does: load the entry point, name
 # the program, call it and exit with its return value. argv[1] is the

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from moqa import (
+    ConfigurationError,
     DiagonalHamiltonian,
     Linearization,
     NormalizationError,
@@ -19,6 +20,7 @@ from moqa import (
     measure,
     write_histogram_csv,
 )
+from moqa import evolution
 from moqa.evolution import HISTOGRAM_CSV_HEADER
 
 from conftest import make_instance, random_instance
@@ -125,6 +127,24 @@ def test_custom_initial_state(system):
     assert np.array_equal(res.final_state, psi0)
 
 
+@pytest.mark.parametrize("steps", [2.5, 0])
+def test_rejects_bad_step_count(system, steps):
+    h0, hw = system
+    with pytest.raises(ConfigurationError):
+        evolve(h0, hw, 1.0, steps=steps)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatch, tol):
+    def slice_ran(*args):
+        raise AssertionError("a schedule slice ran")
+
+    monkeypatch.setattr(evolution, "interpolation_dense", slice_ran)
+    h0, hw = system
+    with pytest.raises(ConfigurationError):
+        evolve(h0, hw, 1.0, steps=4, tie_tol=tol)
+
+
 def test_rejects_unnormalized_initial_state(system):
     h0, hw = system
     with pytest.raises(NormalizationError):
@@ -138,16 +158,6 @@ def test_slow_evolution_reaches_ground_state():
     h0 = build_initial(2)
     res = evolve(h0, hw, 300.0, steps=4096)
     assert res.ground_fidelity >= 0.9
-
-
-def test_result_dict_serializable(system):
-    import json
-
-    h0, hw = system
-    res = evolve(h0, hw, 5.0, steps=32)
-    payload = res.to_dict()
-    json.dumps(payload)
-    assert payload["steps"] == 32
 
 
 # ---------------------------------------------------------------------------

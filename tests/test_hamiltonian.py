@@ -18,15 +18,13 @@ from moqa import (
     HermiticityError,
     InvalidInitialValuesError,
     Linearization,
-    assemble,
     build_final,
     build_initial,
     commutes,
-    dump_operator,
     hadamard_transform,
-    load_operator,
     scalarize,
 )
+from moqa.hamiltonians import interpolation_dense
 
 from conftest import make_instance, random_instance
 
@@ -165,6 +163,9 @@ def test_hadamard_matches_matrix_construction(rng):
         mat = np.kron(mat, h1)
     v = rng.normal(size=dim)
     assert np.allclose(hadamard_transform(v), mat @ v, atol=1e-12)
+    # a matrix is transformed column by column
+    m = rng.normal(size=(dim, 3))
+    assert np.allclose(hadamard_transform(m), mat @ m, atol=1e-12)
 
 
 def test_hadamard_rejects_bad_length():
@@ -180,18 +181,18 @@ def test_assemble_endpoints(rng):
     inst = random_instance(rng, 2, 2)
     h0 = build_initial(2)
     hw = build_final(inst, Linearization.pair(0.3))
-    start = assemble(h0, hw, 0.0)
-    end = assemble(h0, hw, 1.0)
-    assert np.allclose(start.entries, h0.dense(), atol=1e-14)
-    assert np.allclose(end.entries, np.diag(hw.diagonal), atol=1e-14)
+    start = interpolation_dense(h0, hw, 0.0)
+    end = interpolation_dense(h0, hw, 1.0)
+    assert np.allclose(start, h0.dense(), atol=1e-14)
+    assert np.allclose(end, np.diag(hw.diagonal), atol=1e-14)
 
 
 def test_assemble_midpoint_hand_value():
     h0 = build_initial(1)  # [[4,-4],[-4,4]]
     hw = DiagonalHamiltonian(np.array([0.0, 5.0]))
-    mid = assemble(h0, hw, 0.5)
-    assert np.allclose(mid.entries, [[2.0, -2.0], [-2.0, 4.5]], atol=1e-14)
-    vals = np.linalg.eigvalsh(mid.entries)
+    mid = interpolation_dense(h0, hw, 0.5)
+    assert np.allclose(mid, [[2.0, -2.0], [-2.0, 4.5]], atol=1e-14)
+    vals = np.linalg.eigvalsh(mid)
     expected = np.array([3.25 - np.sqrt(1.5625 + 4.0), 3.25 + np.sqrt(1.5625 + 4.0)])
     assert np.allclose(vals, expected, atol=1e-12)
 
@@ -203,25 +204,25 @@ def test_assemble_linear_in_schedule(s):
     inst = random_instance(rng, 2, 2)
     h0 = build_initial(2)
     hw = build_final(inst, Linearization.pair(0.7))
-    mixed = assemble(h0, hw, s)
+    mixed = interpolation_dense(h0, hw, s)
     expected = (1.0 - s) * h0.dense() + s * np.diag(hw.diagonal)
-    assert np.allclose(mixed.entries, expected, atol=1e-12)
+    assert np.allclose(mixed, expected, atol=1e-12)
 
 
 def test_assemble_rejects_out_of_range_schedule(rng):
     inst = random_instance(rng, 1, 2)
     h0 = build_initial(1)
     hw = build_final(inst, Linearization.pair(0.5))
-    with pytest.raises(Exception):
-        assemble(h0, hw, 1.5)
+    with pytest.raises(ConfigurationError):
+        interpolation_dense(h0, hw, 1.5)
 
 
 def test_assemble_dimension_mismatch(rng):
     inst = random_instance(rng, 2, 2)
     h0 = build_initial(1)
     hw = build_final(inst, Linearization.pair(0.5))
-    with pytest.raises(Exception):
-        assemble(h0, hw, 0.5)
+    with pytest.raises(DimensionMismatchError):
+        interpolation_dense(h0, hw, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -271,48 +272,3 @@ def test_identity_final_commutes():
     check = commutes(h0, hw)
     assert check.commuting
     assert check.norm <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# operator file round trip
-
-
-def test_operator_csv_round_trip_exact(tmp_path, rng):
-    inst = random_instance(rng, 2, 2)
-    op = assemble(build_initial(2), build_final(inst, Linearization.pair(0.6)), 0.37)
-    path = tmp_path / "op.csv"
-    dump_operator(op, path)
-    back = load_operator(path)
-    assert np.array_equal(back.entries, op.entries)
-
-
-def test_operator_csv_complex_round_trip(tmp_path):
-    mat = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
-    path = tmp_path / "op.csv"
-    dump_operator(HermitianOperator(mat), path)
-    back = load_operator(path)
-    assert np.array_equal(back.entries, mat)
-
-
-def test_operator_csv_plain_number_format(tmp_path):
-    op = HermitianOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    path = tmp_path / "op.csv"
-    dump_operator(op, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# dim=2"
-    assert lines[1] == "re,im"
-    assert lines[2] == "1.0,0.0"
-
-
-def test_load_operator_rejects_missing_dim_line(tmp_path):
-    path = tmp_path / "op.csv"
-    path.write_text("re,im\n1.0,0.0\n")
-    with pytest.raises(ConfigurationError):
-        load_operator(path)
-
-
-def test_load_operator_rejects_wrong_entry_count(tmp_path):
-    path = tmp_path / "op.csv"
-    path.write_text("# dim=2\nre,im\n1.0,0.0\n2.0,0.0\n")
-    with pytest.raises(ConfigurationError):
-        load_operator(path)

@@ -514,14 +514,6 @@ def test_validate_rejects_unknown_scope():
         validate(make_instance(WELL_FORMED), collision_scope="diagonal")
 
 
-def test_validation_report_round_trips_to_dict():
-    report = validate(make_instance(WELL_FORMED, lam=[0.5, 0.5]))
-    data = report.to_dict()
-    assert data["well_formed"] is True
-    assert data["collision_scope"] == "adjacent"
-    json.dumps(data)  # must be serializable
-
-
 # ---------------------------------------------------------------------------
 # CSV + sidecar round trips
 

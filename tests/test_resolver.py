@@ -118,13 +118,6 @@ def test_resolve_three_way_tie():
     assert int(np.argmin(scalarize(inst, resolved))) == cert.chosen_index
 
 
-def test_resolve_certificate_dict_serializable():
-    import json
-
-    cert = resolve(tie_instance(), Linearization.pair(0.5))
-    json.dumps(cert.to_dict())
-
-
 def test_engineered_ties_all_certify(rng):
     """Random two-row ties built from an exact witness weight."""
     done = 0
