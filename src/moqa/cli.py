@@ -159,8 +159,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("front", help="Pareto front and its classification")
     _add_instance_args(p)
-    p.add_argument("--grid-subdivisions", type=int, default=60,
-                   help="weight-grid resolution for 3 or more objectives")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_front)
 
@@ -243,12 +241,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_front(args) -> int:
     inst = _load_instance(args)
-    cls = supported_solutions(inst, grid_subdivisions=args.grid_subdivisions)
-    payload = {
-        **_header(inst),
-        "method": cls.method,
-        "grid_subdivisions": cls.grid_subdivisions,
-    }
+    cls = supported_solutions(inst)
+    payload = {**_header(inst), "method": cls.method}
     for name in ("pareto", "trivial", "supported", "nonsupported"):
         indices = getattr(cls, name)
         payload[name] = list(indices)
@@ -258,6 +252,8 @@ def _cmd_front(args) -> int:
 
 
 def _cmd_gap_scan(args) -> int:
+    if not 0.0 < args.delta < 1.0:
+        raise ConfigurationError(f"delta must lie in (0, 1), got {args.delta}")
     inst = _load_instance(args)
     h0 = build_initial(inst.n, scale=args.initial_scale)
 
@@ -321,6 +317,8 @@ def _cmd_resolve(args) -> int:
 def _cmd_evolve(args) -> int:
     if args.shots < 0:
         raise ConfigurationError(f"shots must be >= 0, got {args.shots}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     inst = _load_instance(args)
     h0 = build_initial(inst.n, scale=args.initial_scale)
     tol = args.degeneracy_tol if args.degeneracy_tol is not None else _env_degeneracy_tol()

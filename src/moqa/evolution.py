@@ -160,7 +160,8 @@ def measure(state: np.ndarray, shots: int, seed: int | None = None) -> np.ndarra
     Args:
         state: Unit-norm amplitudes.
         shots: Number of samples, >= 0.
-        seed: RNG seed; identical seeds give identical histograms.
+        seed: Nonnegative RNG seed; identical seeds give identical
+            histograms.
 
     Returns:
         Integer counts per domain index, summing to shots.
@@ -173,6 +174,8 @@ def measure(state: np.ndarray, shots: int, seed: int | None = None) -> np.ndarra
         raise NormalizationError(f"state norm {norm!r} is not 1")
     if shots < 0:
         raise ConfigurationError(f"shots must be >= 0, got {shots}")
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     probs = np.abs(psi) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

@@ -51,8 +51,9 @@ def read_instance(csv_path, lam=None) -> McoInstance:
 
     Raises:
         InstanceFormatError: On malformed headers, gaps or duplicates in the
-            index column, non-numeric or negative values, or a row count
-            that does not cover a full power-of-two domain.
+            index column, non-numeric or negative values, a row count
+            that does not cover a full power-of-two domain, or a sidecar
+            field that is not numeric or disagrees with the table.
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
@@ -113,19 +114,31 @@ def read_instance(csv_path, lam=None) -> McoInstance:
                 raise InstanceFormatError(f"{meta}: {exc}") from None
         if not isinstance(info, dict):
             raise InstanceFormatError(f"{meta}: sidecar must be a JSON object")
-        if "n" in info and (1 << int(info["n"])) != size:
+        if "n" in info and _sidecar_field(meta, info, "n", int) != size.bit_length() - 1:
             raise InstanceFormatError(
                 f"{meta}: sidecar n={info['n']} disagrees with {size} rows"
             )
-        if "d" in info and int(info["d"]) != d:
+        if "d" in info and _sidecar_field(meta, info, "d", int) != d:
             raise InstanceFormatError(
                 f"{meta}: sidecar d={info['d']} disagrees with {d} columns"
             )
         if lam is None and info.get("lambda") is not None:
-            lam = info["lambda"]
-        label_offset = int(info.get("label_offset", 0))
+            lam = _sidecar_field(
+                meta, info, "lambda", lambda v: np.asarray(v, dtype=np.float64)
+            )
+        if "label_offset" in info:
+            label_offset = _sidecar_field(meta, info, "label_offset", int)
 
     return McoInstance(np.asarray(rows), lam, label_offset)
+
+
+def _sidecar_field(meta: Path, info: dict, key: str, convert):
+    try:
+        return convert(info[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InstanceFormatError(
+            f"{meta}: sidecar {key}={info[key]!r} is malformed"
+        ) from None
 
 
 def write_instance(inst: McoInstance, csv_path, with_sidecar: bool = True) -> None:

@@ -9,7 +9,6 @@ supported/nonsupported classification of the Pareto front.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -269,23 +268,27 @@ def weak_equivalence_witness(
         if 0.0 < w1 < 1.0:
             return Linearization.pair(w1)
         return None
-    return _witness_by_feasibility(delta)
+    w = _max_margin_weighting(inst.d, eq_rows=delta)
+    scale = max(1.0, float(np.max(np.abs(delta))))
+    if w is None or abs(float(delta @ w.weights)) > 1e-9 * scale:
+        return None
+    return w
 
 
-def _witness_by_feasibility(delta: np.ndarray) -> Linearization | None:
-    # Maximize t subject to w_i + t <= 1, w >= 0, sum w = 1, <delta, w> = 0.
-    # t > 0 certifies a witness with every weight strictly below 1.
+def _max_margin_weighting(d: int, eq_rows=(), ub_rows=()) -> Linearization | None:
+    # Maximize t subject to sum w = 1, 0 <= w_i, w_i + t <= 1 and the
+    # caller's rows eq_rows @ w = 0, ub_rows @ w <= 0.  t > 0 certifies an
+    # admissible weighting (every entry strictly below 1) that meets them.
     from scipy.optimize import linprog
 
-    d = delta.size
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((2, d + 1))
-    a_eq[0, :d] = 1.0
-    a_eq[1, :d] = delta
-    b_eq = np.array([1.0, 0.0])
-    a_ub = np.hstack([np.eye(d), np.ones((d, 1))])
-    b_ub = np.ones(d)
+    eq = np.reshape(eq_rows, (-1, d))
+    ub = np.reshape(ub_rows, (-1, d))
+    # Variables w_1..w_d, t; the t column is zero in the caller's rows.
+    a_eq = np.block([[np.ones((1, d)), 0.0], [eq, np.zeros((len(eq), 1))]])
+    a_ub = np.block([[np.eye(d), np.ones((d, 1))], [ub, np.zeros((len(ub), 1))]])
+    b_eq = np.r_[1.0, np.zeros(len(eq))]
+    b_ub = np.r_[np.ones(d), np.zeros(len(ub))]
+    c = np.r_[np.zeros(d), -1.0]
     bounds = [(0.0, 1.0)] * d + [(None, 1.0)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
@@ -296,8 +299,7 @@ def _witness_by_feasibility(delta: np.ndarray) -> Linearization | None:
         return None
     w = np.clip(res.x[:d], 0.0, None)
     w = w / w.sum()
-    scale = max(1.0, float(np.max(np.abs(delta))))
-    if abs(float(delta @ w)) > 1e-9 * scale or np.any(w >= 1.0):
+    if np.any(w >= 1.0):
         return None
     return Linearization(w)
 
@@ -311,8 +313,7 @@ class SolutionClassification:
         trivial: Single-objective minimizers.
         supported: Pareto indices minimizing some admissible weighted sum.
         nonsupported: Pareto indices that are not supported.
-        method: "hull" (exact, d = 2) or "grid" (approximate sweep, d >= 3).
-        grid_subdivisions: Sweep resolution when method == "grid", else None.
+        method: "hull" (d = 2) or "lp" (d >= 3); both are exact.
     """
 
     pareto: tuple[int, ...]
@@ -320,52 +321,55 @@ class SolutionClassification:
     supported: tuple[int, ...]
     nonsupported: tuple[int, ...]
     method: str
-    grid_subdivisions: int | None = None
 
 
-def supported_solutions(
-    inst: McoInstance, grid_subdivisions: int = 60
-) -> SolutionClassification:
+def supported_solutions(inst: McoInstance) -> SolutionClassification:
     """Classify the Pareto front into supported and nonsupported indices.
 
-    A Pareto index is supported when some admissible weighting makes its
-    weighted sum minimal over the whole domain.  With two objectives the
-    classification is exact: supported points are exactly those whose
-    objective vectors lie on the lower-left convex hull chain of the front,
-    including points interior to hull edges.  With three or more objectives
-    the weight polytope is swept on a simplex grid (step 1/grid_subdivisions,
-    corner weightings excluded), which can only miss supported points whose
-    optimality region dodges every grid node; the result is a lower bound
-    and is flagged with method == "grid".
-
-    Args:
-        inst: Objective table.
-        grid_subdivisions: Resolution of the d >= 3 sweep.
+    A Pareto index is supported when some admissible weighting (entries in
+    [0, 1), summing to 1) makes its weighted sum minimal over the whole
+    domain.  The classification is exact for every d.  With two objectives
+    supported points are exactly those whose objective vectors lie on the
+    lower-left convex hull chain of the front, including points interior to
+    hull edges (method "hull").  With three or more objectives one linear
+    program per front point searches for such a weighting, which is then
+    checked against the whole table (method "lp").
 
     Returns:
         SolutionClassification with all four index sets sorted.
     """
     front = pareto_front(inst)
-    triv = trivial_solutions(inst)
     if inst.d == 2:
         supported = _supported_by_hull(inst, front)
         method = "hull"
-        subdiv = None
     else:
-        if grid_subdivisions < 2:
-            raise ConfigurationError("grid_subdivisions must be at least 2")
-        supported = _supported_by_grid(inst, front, grid_subdivisions)
-        method = "grid"
-        subdiv = grid_subdivisions
-    nonsupported = tuple(x for x in front if x not in set(supported))
+        supported = _supported_by_lp(inst, front)
+        method = "lp"
+    kept = set(supported)
     return SolutionClassification(
         pareto=front,
-        trivial=triv,
+        trivial=trivial_solutions(inst),
         supported=supported,
-        nonsupported=nonsupported,
+        nonsupported=tuple(x for x in front if x not in kept),
         method=method,
-        grid_subdivisions=subdiv,
     )
+
+
+def _supported_by_lp(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ...]:
+    # Only front rows constrain the weighting: every other row is dominated
+    # by a front row, and weights are nonnegative.
+    vals = inst.values
+    front_vals = vals[list(front)]
+    tol = 1e-9 * max(1.0, float(vals.max()))
+    supported = []
+    for x in front:
+        w = _max_margin_weighting(inst.d, ub_rows=vals[x] - front_vals)
+        if w is None:
+            continue
+        sums = scalarize(inst, w)
+        if sums[x] <= sums.min() + tol:
+            supported.append(x)
+    return tuple(supported)
 
 
 def _supported_by_hull(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ...]:
@@ -402,41 +406,6 @@ def _on_chain(v: np.ndarray, chain: list[np.ndarray]) -> bool:
         if abs(_cross(a, b, v)) <= HULL_COLLINEAR_TOL * span * reach:
             return True
     return False
-
-
-def simplex_grid(d: int, subdivisions: int) -> np.ndarray:
-    """Admissible weightings with entries on the grid k/subdivisions.
-
-    Corner weightings (a single entry equal to 1) are excluded because a
-    weight of exactly 1 is inadmissible.  Zero entries are kept.
-    """
-    rows = []
-    for cut in itertools.combinations(range(subdivisions + d - 1), d - 1):
-        prev = -1
-        parts = []
-        for c in (*cut, subdivisions + d - 1):
-            parts.append(c - prev - 1)
-            prev = c
-        if max(parts) == subdivisions:
-            continue
-        rows.append(parts)
-    return np.asarray(rows, dtype=np.float64) / float(subdivisions)
-
-
-def _supported_by_grid(
-    inst: McoInstance, front: tuple[int, ...], subdivisions: int
-) -> tuple[int, ...]:
-    weights = simplex_grid(inst.d, subdivisions)
-    front_set = set(front)
-    hit: set[int] = set()
-    chunk = 4096
-    for start in range(0, weights.shape[0], chunk):
-        block = weights[start : start + chunk]
-        scal = inst.values @ block.T
-        mins = scal.min(axis=0)
-        rows, _ = np.nonzero(scal == mins[None, :])
-        hit.update(int(r) for r in rows)
-    return tuple(sorted(hit & front_set))
 
 
 @dataclass(frozen=True)

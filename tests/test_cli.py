@@ -128,6 +128,22 @@ def test_unknown_flag_is_usage_error():
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("sidecar", [
+    {"n": "seven"},
+    {"d": "three"},
+    {"label_offset": "one"},
+    {"lambda": "abc"},
+], ids=lambda sidecar: next(iter(sidecar)))
+def test_malformed_sidecar_is_format_error(tmp_path, capsys, sidecar):
+    table = tmp_path / "t.csv"
+    table.write_text("x,f1,f2\n0,0.0,1.0\n1,1.0,0.0\n")
+    meta = tmp_path / "t.json"
+    meta.write_text(json.dumps(sidecar))
+    assert main(["validate", str(table)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta}: sidecar {next(iter(sidecar))}=")
+
+
 # ---------------------------------------------------------------------------
 # front
 
@@ -203,6 +219,50 @@ def test_evolve_key_order(tmp_path, tie_csv):
         "dim", "total_time", "steps", "norm_drift", "target_index",
         "ground_fidelity", "degenerate_target", "distribution",
     ]
+
+
+# payload schema name -> command line; D3 stands for a 4-row d = 3 table
+SCHEMA_RUNS = [
+    ("validate", ["validate", "--builtin"]),
+    ("front", ["front", "--builtin"]),
+    ("front", ["front", "D3"]),
+    ("gap_scan", ["gap-scan", "--builtin", "--w", "0.57", "--points", "8",
+                  "--curve", "CURVE"]),
+    ("resolve", ["resolve", "--builtin", "--w", "0.57"]),
+    ("evolve", ["evolve", "--builtin", "--w", "0.57", "--T", "5", "--steps", "4",
+                "--shots", "3", "--seed", "1", "--histogram", "HIST"]),
+]
+
+
+def assert_keys_required(payload, schema, where="payload"):
+    """Every object that the schema gives a required list carries exactly
+    those keys, at the top level and in nested objects."""
+    if not isinstance(payload, dict):
+        return
+    if "required" in schema:
+        assert set(payload) == set(schema["required"]), where
+    for key, sub in schema.get("properties", {}).items():
+        if key in payload:
+            assert_keys_required(payload[key], sub, f"{where}.{key}")
+    for branch in schema.get("oneOf", []):
+        if branch.get("type") == "object":
+            assert_keys_required(payload, branch, where)
+
+
+@pytest.mark.parametrize("schema_name, argv", SCHEMA_RUNS,
+                         ids=[" ".join(a[:2]) for _, a in SCHEMA_RUNS])
+def test_payloads_match_their_schemas(tmp_path, schema_name, argv):
+    d3 = tmp_path / "d3.csv"
+    write_instance(McoInstance(np.array(
+        [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.5, 2.0]]
+    )), d3)
+    paths = {"D3": str(d3), "CURVE": str(tmp_path / "c.csv"),
+             "HIST": str(tmp_path / "h.csv")}
+    code, payload = run_json(tmp_path, *[paths.get(a, a) for a in argv])
+    assert code == EXIT_OK
+    schema = load_schema(schema_name)
+    check_schema(instance=payload, schema=schema)
+    assert_keys_required(payload, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +359,19 @@ def test_gap_scan_bad_weights_parse(tmp_path):
         ["gap-scan", "--builtin", "--w", "forty", "--curve", str(tmp_path / "c.csv")]
     )
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("delta", ["2", "0", "nan"])
+def test_gap_scan_bad_delta_rejected_before_the_scan(tmp_path, monkeypatch, delta):
+    def scan_ran(*args, **kwargs):
+        raise AssertionError("gap_scan ran")
+
+    monkeypatch.setattr(cli, "gap_scan", scan_ran)
+    curve = tmp_path / "c.csv"
+    code = main(["gap-scan", "--builtin", "--w", "0.57", "--points", "8",
+                 "--delta", delta, "--curve", str(curve)])
+    assert code == EXIT_IO
+    assert not curve.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +498,20 @@ def test_evolve_negative_shots_rejected_before_the_schedule(
     out = tmp_path / "evo.json"
     code = main(["evolve", tie_csv, "--w", "0.25", "--T", "5", "--shots", "-1",
                  "--output", str(out)])
+    assert code == EXIT_IO
+    assert not out.exists()
+
+
+def test_evolve_negative_seed_rejected_before_the_schedule(
+    tmp_path, tie_csv, monkeypatch
+):
+    def schedule_ran(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(cli, "evolve", schedule_ran)
+    out = tmp_path / "evo.json"
+    code = main(["evolve", tie_csv, "--w", "0.25", "--T", "5", "--shots", "5",
+                 "--seed", "-1", "--output", str(out)])
     assert code == EXIT_IO
     assert not out.exists()
 
@@ -565,6 +652,17 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "moqa" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported only when a linear program is solved.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, moqa.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_version_flag_in_process():

@@ -190,6 +190,11 @@ def test_measure_tracks_probabilities():
     assert counts[1] == 0 and counts[2] == 0
 
 
+def test_measure_rejects_negative_seed():
+    with pytest.raises(ConfigurationError):
+        measure(initial_ground_state(2), 5, seed=-1)
+
+
 def test_histogram_csv_format(tmp_path):
     counts = np.array([2, 0, 1, 1], dtype=np.int64)
     path = tmp_path / "hist.csv"

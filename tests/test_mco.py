@@ -25,7 +25,6 @@ from moqa import (
     pareto_front,
     read_instance,
     scalarize,
-    simplex_grid,
     supported_solutions,
     trivial_solutions,
     validate,
@@ -64,11 +63,12 @@ def oracle_front(values) -> set[int]:
 
 
 def oracle_supported(values, front, x, margin=1e-9):
-    """LP feasibility: is x a weighted-sum minimizer for interior weights?
+    """LP feasibility: is x a weighted-sum minimizer for an admissible weighting?
 
-    Maximizes t subject to sum(w)=1, w_i >= t, w_i <= 1 - t, and
+    Maximizes t subject to sum(w)=1, w_i >= 0, w_i <= 1 - t, and
     <f(x)-f(y), w> <= 0 for every other front member y.  x is supported
-    exactly when the optimum t is positive.
+    exactly when the optimum t is positive, i.e. when some weighting with
+    every entry in [0, 1) makes x minimal.
     """
     d = len(values[0])
     others = [y for y in front if y != x]
@@ -80,10 +80,6 @@ def oracle_supported(values, front, x, margin=1e-9):
         a_ub.append(delta + [0.0])
         b_ub.append(0.0)
     for i in range(d):
-        row = [0.0] * (d + 1)
-        row[i], row[d] = -1.0, 1.0  # t - w_i <= 0
-        a_ub.append(row)
-        b_ub.append(0.0)
         row = [0.0] * (d + 1)
         row[i], row[d] = 1.0, 1.0  # w_i + t <= 1
         a_ub.append(row)
@@ -377,20 +373,6 @@ def test_witness_agrees_with_scalarized_tie(rng):
 # supported / nonsupported classification
 
 
-def test_simplex_grid_two_objectives():
-    pts = simplex_grid(2, 4)
-    assert pts.shape == (3, 2)
-    assert np.allclose(pts.sum(axis=1), 1.0)
-    assert np.all(pts > 0.0) and np.all(pts < 1.0)
-
-
-def test_simplex_grid_excludes_corners():
-    pts = simplex_grid(3, 5)
-    assert np.all(pts < 1.0)
-    # compositions of 5 into 3 parts: C(7,2) = 21, minus 3 corners
-    assert pts.shape == (18, 3)
-
-
 def test_supported_hand_case_edge_interior_point():
     # three collinear front points: the middle one sits inside a hull edge
     inst = make_instance([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0], [1.5, 1.5]])
@@ -429,16 +411,29 @@ def test_supported_matches_lp_oracle_two_objectives(rng):
             assert (x in sc.supported) == expected, (x, sorted(front))
 
 
-def test_supported_grid_method_sound_three_objectives(rng):
-    for _ in range(6):
-        inst = random_instance(rng, 3, 3)
-        sc = supported_solutions(inst, grid_subdivisions=40)
-        assert sc.method == "grid"
-        assert sc.grid_subdivisions == 40
-        values = inst.values.tolist()
+@pytest.mark.parametrize("d", [3, 4])
+def test_supported_matches_lp_oracle_more_objectives(rng, d):
+    for _ in range(8):
+        inst = random_instance(rng, 4, d)
+        sc = supported_solutions(inst)
+        assert sc.method == "lp"
         front = list(sc.pareto)
-        for x in sc.supported:
-            assert oracle_supported(values, front, x), x
+        values = inst.values.tolist()
+        expected = {x for x in front if oracle_supported(values, front, x)}
+        assert set(sc.supported) == expected, sorted(front)
+        assert set(sc.nonsupported) == set(front) - expected
+
+
+def test_supported_hand_case_zero_weight_three_objectives():
+    # Row 3 ties rows 0 and 1 under (1/2, 1/2, 0) and loses under every
+    # weighting that puts weight on the third objective.
+    values = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.5, 2.0]]
+    sc = supported_solutions(make_instance(values))
+    assert sc.method == "lp"
+    assert sc.pareto == (0, 1, 2, 3)
+    assert sc.supported == (0, 1, 2, 3)
+    assert sc.nonsupported == ()
+    assert oracle_supported(values, [0, 1, 2, 3], 3)
 
 
 # ---------------------------------------------------------------------------
