@@ -84,9 +84,8 @@ def _env_degeneracy_tol() -> float:
 
 
 def _parse_weights(text: str) -> Linearization:
-    parts = [p for p in text.split(",") if p.strip() != ""]
     try:
-        vals = [float(p) for p in parts]
+        vals = [float(p) for p in text.split(",")]
     except ValueError:
         raise InvalidLinearizationError(f"cannot parse weights {text!r}") from None
     if len(vals) == 1:

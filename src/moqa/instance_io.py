@@ -38,22 +38,22 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def read_instance(csv_path, lam=None) -> McoInstance:
+def read_instance(csv_path) -> McoInstance:
     """Load an instance from CSV, merging sidecar metadata when present.
 
     Args:
         csv_path: Path to the CSV table.
-        lam: Separation vector override; when None the sidecar's "lambda"
-            entry is used if available.
 
     Returns:
-        McoInstance.
+        McoInstance whose separation vector is the sidecar's "lambda"
+        entry (None without one); override it with with_lambda.
 
     Raises:
         InstanceFormatError: On malformed headers, gaps or duplicates in the
             index column, non-numeric or negative values, a row count
             that does not cover a full power-of-two domain, or a sidecar
-            field that is not numeric or disagrees with the table.
+            field that is not numeric, an n, d or label_offset that is
+            not an integer, or an n or d that disagrees with the table.
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
@@ -104,7 +104,7 @@ def read_instance(csv_path, lam=None) -> McoInstance:
             f"{csv_path}: {size} rows do not cover a full 2^n domain"
         )
 
-    label_offset = 0
+    lam, label_offset = None, 0
     meta = sidecar_path(csv_path)
     if meta.exists():
         with open(meta) as fh:
@@ -114,20 +114,21 @@ def read_instance(csv_path, lam=None) -> McoInstance:
                 raise InstanceFormatError(f"{meta}: {exc}") from None
         if not isinstance(info, dict):
             raise InstanceFormatError(f"{meta}: sidecar must be a JSON object")
-        if "n" in info and _sidecar_field(meta, info, "n", int) != size.bit_length() - 1:
+        n = size.bit_length() - 1
+        if "n" in info and _sidecar_field(meta, info, "n", _exact_int) != n:
             raise InstanceFormatError(
                 f"{meta}: sidecar n={info['n']} disagrees with {size} rows"
             )
-        if "d" in info and _sidecar_field(meta, info, "d", int) != d:
+        if "d" in info and _sidecar_field(meta, info, "d", _exact_int) != d:
             raise InstanceFormatError(
                 f"{meta}: sidecar d={info['d']} disagrees with {d} columns"
             )
-        if lam is None and info.get("lambda") is not None:
+        if info.get("lambda") is not None:
             lam = _sidecar_field(
                 meta, info, "lambda", lambda v: np.asarray(v, dtype=np.float64)
             )
         if "label_offset" in info:
-            label_offset = _sidecar_field(meta, info, "label_offset", int)
+            label_offset = _sidecar_field(meta, info, "label_offset", _exact_int)
 
     return McoInstance(np.asarray(rows), lam, label_offset)
 
@@ -141,8 +142,15 @@ def _sidecar_field(meta: Path, info: dict, key: str, convert):
         ) from None
 
 
-def write_instance(inst: McoInstance, csv_path, with_sidecar: bool = True) -> None:
-    """Write an instance table, atomically, with its JSON sidecar."""
+def _exact_int(value) -> int:
+    # int() truncates 2.9 to 2; n, d and label_offset must be integers.
+    if int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def write_instance(inst: McoInstance, csv_path) -> None:
+    """Write an instance table and its JSON sidecar, each atomically."""
     csv_path = Path(csv_path)
     header = ",".join(["x"] + [f"f{i+1}" for i in range(inst.d)])
     lines = [header]
@@ -150,11 +158,10 @@ def write_instance(inst: McoInstance, csv_path, with_sidecar: bool = True) -> No
         vals = ",".join(repr(float(v)) for v in inst.values[x])
         lines.append(f"{x},{vals}")
     write_text_atomic(csv_path, "\n".join(lines) + "\n")
-    if with_sidecar:
-        info = {
-            "n": inst.n,
-            "d": inst.d,
-            "lambda": None if inst.lam is None else [float(v) for v in inst.lam],
-            "label_offset": inst.label_offset,
-        }
-        write_text_atomic(sidecar_path(csv_path), json.dumps(info, indent=2) + "\n")
+    info = {
+        "n": inst.n,
+        "d": inst.d,
+        "lambda": None if inst.lam is None else [float(v) for v in inst.lam],
+        "label_offset": inst.label_offset,
+    }
+    write_text_atomic(sidecar_path(csv_path), json.dumps(info, indent=2) + "\n")

@@ -43,8 +43,10 @@ class McoInstance:
     Attributes:
         values: Array of shape (2^n, d) with finite, nonnegative entries.
             Row x holds the d objective values of domain index x.
-        lam: Optional per-objective separation vector (positive, length d)
-            used by collision checks and gap diagnostics.
+        lam: Optional per-objective separation vector (finite, positive,
+            length d) used by collision checks, gap diagnostics and the
+            resolver's safe radius.  It is validated here only; callers
+            that want another vector use with_lambda.
         label_offset: Offset added to a domain index to form its user-facing
             label.  Zero for instances whose published numbering starts at 0;
             1 for tables whose published numbering starts at 1.
@@ -444,16 +446,13 @@ class ValidationReport:
         return self.well_formed and self.normal and self.collision_free is not False
 
 
-def validate(
-    inst: McoInstance,
-    lam=None,
-    collision_scope: str = "adjacent",
-) -> ValidationReport:
+def validate(inst: McoInstance, collision_scope: str = "adjacent") -> ValidationReport:
     """Check an instance for unique optima, distinct optima, and separation.
 
     Args:
-        inst: Objective table.
-        lam: Separation vector override; defaults to inst.lam.
+        inst: Objective table; its separation vector inst.lam bounds the
+            collision check.  Check another vector with
+            validate(inst.with_lambda(v)).
         collision_scope: "adjacent" compares each objective across
             consecutive domain indices only, which is the separation notion
             the bundled benchmark family satisfies.  "all" compares every
@@ -461,8 +460,8 @@ def validate(
             strictly stronger requirement.
 
     Returns:
-        ValidationReport.  When no separation vector is available the
-        collision check is reported as None ("not evaluated").
+        ValidationReport.  When the instance carries no separation vector
+        the collision check is reported as None ("not evaluated").
     """
     if collision_scope not in ("adjacent", "all"):
         raise ConfigurationError(
@@ -493,40 +492,30 @@ def validate(
                     )
     normal = well_formed and not shared
 
-    lam_vec = inst.lam if lam is None else np.asarray(lam, dtype=np.float64)
     collision_free: bool | None
     witness: tuple[int, int, int] | None = None
-    if lam_vec is None:
+    if inst.lam is None:
         collision_free = None
         messages.append("collision check not evaluated: no separation vector given")
     else:
-        if lam_vec.shape != (inst.d,):
-            raise DimensionMismatchError(
-                f"separation vector has length {lam_vec.size}, expected {inst.d}"
-            )
         collision_free = True
+        # "adjacent" compares consecutive indices, "all" consecutive sorted
+        # values; either way the first gap <= lam_i is the witness.
         for i in range(inst.d):
             col = vals[:, i]
             if collision_scope == "adjacent":
-                diffs = np.abs(np.diff(col))
-                bad = np.nonzero(diffs <= lam_vec[i])[0]
-                if bad.size:
-                    x = int(bad[0])
-                    witness = (i, x, x + 1)
+                order = np.arange(inst.size)
             else:
                 order = np.argsort(col, kind="stable")
-                diffs = np.diff(col[order])
-                bad = np.nonzero(diffs <= lam_vec[i])[0]
-                if bad.size:
-                    k = int(bad[0])
-                    a, b = int(order[k]), int(order[k + 1])
-                    witness = (i, min(a, b), max(a, b))
-            if witness is not None:
+            bad = np.nonzero(np.abs(np.diff(col[order])) <= inst.lam[i])[0]
+            if bad.size:
+                a, b = int(order[bad[0]]), int(order[bad[0] + 1])
+                witness = (i, min(a, b), max(a, b))
                 collision_free = False
                 messages.append(
                     f"objective {i}: |f({witness[1]}) - f({witness[2]})| = "
                     f"{float(abs(col[witness[1]] - col[witness[2]]))!r} does not "
-                    f"exceed {float(lam_vec[i])!r}"
+                    f"exceed {float(inst.lam[i])!r}"
                 )
                 break
 

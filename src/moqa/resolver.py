@@ -29,27 +29,23 @@ from .spectral import DEGENERACY_TOL, degeneracy_check
 MAX_HALVINGS = 60
 
 
-def l1_radius(inst: McoInstance, w: Linearization, lam=None) -> float:
+def l1_radius(inst: McoInstance, w: Linearization) -> float:
     """Largest safe l1 move of the weights for this instance.
 
-    Computed as <separations, w> / (m * d) where m is the largest objective
+    Computed as <inst.lam, w> / (m * d) where m is the largest objective
     value in the table.  Any reweighting within this distance changes each
-    weighted sum by less than the weighted separation divided by d.
+    weighted sum by less than the weighted separation divided by d.  Use
+    inst.with_lambda(v) to size the radius from another separation vector.
 
     Raises:
-        ConfigurationError: When no separation vector is available.
+        ConfigurationError: When the instance has no separation vector.
     """
-    lam_vec = inst.lam if lam is None else np.asarray(lam, dtype=np.float64)
-    if lam_vec is None:
+    if inst.lam is None:
         raise ConfigurationError("the safe radius needs a separation vector")
-    if lam_vec.shape != (inst.d,):
-        raise ConfigurationError(
-            f"separation vector has length {lam_vec.size}, expected {inst.d}"
-        )
     m = float(inst.values.max())
     if m <= 0.0:
         raise ConfigurationError("table maximum must be positive")
-    return float(lam_vec @ w.weights) / (m * inst.d)
+    return float(inst.lam @ w.weights) / (m * inst.d)
 
 
 @dataclass(frozen=True)
@@ -81,13 +77,12 @@ def resolve(
     inst: McoInstance,
     w: Linearization,
     tie_tol: float = DEGENERACY_TOL,
-    lam=None,
 ) -> ResolutionCertificate:
     """Break a degenerate weighted-sum minimum, or certify there is none.
 
     The instance is expected to have passed validation (unique, distinct
-    single-objective optima and separations above its lam vector); a
-    separation vector must be available to size the search budget.
+    single-objective optima and separations above inst.lam); that
+    separation vector sizes the search budget through l1_radius.
 
     The search enumerates ordered coordinate pairs (i, j) in lexicographic
     order and, for each, perturbations w + eps * (e_i - e_j) with eps
@@ -103,9 +98,9 @@ def resolve(
         UnresolvableDegeneracyError: Two tied indices have exactly equal
             objective rows, so no reweighting can separate them.
         ResolutionFailureError: The candidate search was exhausted.
-        ConfigurationError: No separation vector available.
+        ConfigurationError: The instance has no separation vector.
     """
-    radius = l1_radius(inst, w, lam)
+    radius = l1_radius(inst, w)
     report = degeneracy_check(build_final(inst, w), tie_tol)
     tied = report.witnesses
     if report.multiplicity == 1:

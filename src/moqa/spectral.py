@@ -107,7 +107,6 @@ def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
 def gap_scan(
     h0: InitialHamiltonian,
     hw: DiagonalHamiltonian,
-    s_values=None,
     points: int = DEFAULT_GRID_POINTS,
 ) -> GapCurve:
     """Track the two lowest eigenvalues across the schedule.
@@ -115,24 +114,12 @@ def gap_scan(
     Args:
         h0: Driver Hamiltonian.
         hw: Problem Hamiltonian.
-        s_values: Optional explicit grid; must be strictly increasing and
-            inside [0, 1].  Defaults to a uniform grid with the given
-            number of points, endpoints included.
-        points: Grid size when s_values is None.
+        points: Size of the uniform grid on [0, 1], endpoints included.
 
     Returns:
-        GapCurve over the grid.
+        GapCurve over uniform_grid(points).
     """
-    if s_values is None:
-        grid = uniform_grid(points)
-    else:
-        grid = np.asarray(s_values, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ConfigurationError("schedule grid must be a nonempty vector")
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
-            raise ConfigurationError("schedule grid must lie inside [0, 1]")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-            raise ConfigurationError("schedule grid must be strictly increasing")
+    grid = uniform_grid(points)
     lambda0 = np.empty(grid.size)
     lambda1 = np.empty(grid.size)
     for k, s in enumerate(grid):
@@ -298,34 +285,28 @@ class EndGapDiagnostics:
 def end_gap_diagnostics(
     inst: McoInstance,
     w: Linearization,
-    lam=None,
     gap_curve: GapCurve | None = None,
 ) -> EndGapDiagnostics:
     """Diagnostics at the end of the schedule for one weighting.
 
     Args:
-        inst: Objective table.
+        inst: Objective table; its separation vector inst.lam is weighted
+            into the bound.  Use inst.with_lambda(v) for another vector.
         w: Weighting whose scalarization forms the problem diagonal.
-        lam: Separation vector override; defaults to inst.lam.
         gap_curve: Optional scan whose minimum gap is compared against the
             end gap; the comparison flags are None without it.
 
     Raises:
-        ConfigurationError: When no separation vector is available.
+        ConfigurationError: When the instance has no separation vector.
     """
-    lam_vec = inst.lam if lam is None else np.asarray(lam, dtype=np.float64)
-    if lam_vec is None:
+    if inst.lam is None:
         raise ConfigurationError("end-gap diagnostics need a separation vector")
-    if lam_vec.shape != (inst.d,):
-        raise DimensionMismatchError(
-            f"separation vector has length {lam_vec.size}, expected {inst.d}"
-        )
     scal = scalarize(inst, w)
     order = np.argsort(scal, kind="stable")
     lowest = float(scal[order[0]])
     second = float(scal[order[1]])
     end_gap = second - lowest
-    weighted_sep = float(lam_vec @ w.weights)
+    weighted_sep = float(inst.lam @ w.weights)
     tied = tuple(int(x) for x in np.nonzero(scal <= lowest + DEGENERACY_TOL)[0])
     minimizer = int(order[0])
     trivial = minimizer in set(trivial_solutions(inst))
@@ -338,7 +319,7 @@ def end_gap_diagnostics(
     )
     return EndGapDiagnostics(
         weights=w.as_tuple(),
-        separations=tuple(float(v) for v in lam_vec),
+        separations=tuple(float(v) for v in inst.lam),
         min_weighted_value=lowest,
         second_weighted_value=second,
         end_gap=end_gap,

@@ -93,6 +93,16 @@ def test_validate_failure_exit_code(tmp_path):
     assert payload["pass"] is False
 
 
+def test_validate_negative_lambda_rejected(capsys):
+    # argparse reads "-1,-1" after a space as an option (a usage error);
+    # "--lambda=-1,-1" reaches the instance, which rejects the entries.
+    assert main(["validate", "--builtin", "--lambda", "-1,-1"]) == EXIT_IO
+    assert main(["validate", "--builtin", "--lambda=-1,-1"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("\nerror: separation entries must be positive\n")
+
+
 def test_validate_all_scope_flag(tmp_path):
     code, payload = run_json(
         tmp_path, "validate", "--builtin", "--collision-scope", "all"
@@ -133,6 +143,9 @@ def test_unknown_flag_is_usage_error():
     {"d": "three"},
     {"label_offset": "one"},
     {"lambda": "abc"},
+    pytest.param({"n": 1.5}, id="n_fractional"),
+    pytest.param({"d": 2.5}, id="d_fractional"),
+    pytest.param({"label_offset": 1.7}, id="label_offset_fractional"),
 ], ids=lambda sidecar: next(iter(sidecar)))
 def test_malformed_sidecar_is_format_error(tmp_path, capsys, sidecar):
     table = tmp_path / "t.csv"
@@ -355,10 +368,13 @@ def test_gap_scan_degenerate_end_is_numerical_failure(tmp_path, twin_csv):
 
 
 def test_gap_scan_bad_weights_parse(tmp_path):
-    code = main(
-        ["gap-scan", "--builtin", "--w", "forty", "--curve", str(tmp_path / "c.csv")]
-    )
-    assert code == EXIT_IO
+    # an empty field is an error, not a value to skip: "0.6," is not "0.6"
+    for text in ["forty", "0.6,", ",0.6", "0.2,,0.8"]:
+        code = main(
+            ["gap-scan", "--builtin", "--w", text, "--curve", str(tmp_path / "c.csv")]
+        )
+        assert code == EXIT_IO, text
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("delta", ["2", "0", "nan"])

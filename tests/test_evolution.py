@@ -12,7 +12,6 @@ from moqa import (
     ConfigurationError,
     DiagonalHamiltonian,
     Linearization,
-    NormalizationError,
     build_final,
     build_initial,
     evolve,
@@ -119,14 +118,6 @@ def test_commuting_problem_warns():
         evolve(h0, hw, 1.0, steps=4)
 
 
-def test_custom_initial_state(system):
-    h0, hw = system
-    psi0 = np.zeros(4, dtype=np.complex128)
-    psi0[0] = 1.0
-    res = evolve(h0, hw, 0.0, steps=4, psi0=psi0)
-    assert np.array_equal(res.final_state, psi0)
-
-
 @pytest.mark.parametrize("steps", [2.5, 0])
 def test_rejects_bad_step_count(system, steps):
     h0, hw = system
@@ -143,12 +134,6 @@ def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatc
     h0, hw = system
     with pytest.raises(ConfigurationError):
         evolve(h0, hw, 1.0, steps=4, tie_tol=tol)
-
-
-def test_rejects_unnormalized_initial_state(system):
-    h0, hw = system
-    with pytest.raises(NormalizationError):
-        evolve(h0, hw, 1.0, steps=4, psi0=np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_slow_evolution_reaches_ground_state():

@@ -198,9 +198,23 @@ def test_with_lambda_overrides_separations():
     assert tuple(inst.lam) == (0.1, 0.1)
 
 
-def test_lambda_length_must_match_objectives():
-    with pytest.raises(DimensionMismatchError):
-        make_instance([[0.0, 1.0], [1.0, 0.0]], lam=[0.1, 0.1, 0.1])
+@pytest.mark.parametrize("lam, error", [
+    ([0.0, 0.1], InstanceFormatError),
+    ([-1.0, 0.1], InstanceFormatError),
+    ([np.nan, 0.1], InstanceFormatError),
+    ([0.1, np.inf], InstanceFormatError),
+    ([0.1, 0.1, 0.1], DimensionMismatchError),
+], ids=["zero", "negative", "nan", "inf", "length"])
+@pytest.mark.parametrize("route", ["constructor", "with_lambda"])
+def test_bad_separation_vector_rejected(route, lam, error):
+    # McoInstance is the one place a separation vector is checked; every
+    # consumer (validate, end_gap_diagnostics, l1_radius, resolve) reads it.
+    values = [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(error):
+        if route == "constructor":
+            make_instance(values, lam=lam)
+        else:
+            make_instance(values, lam=[0.1, 0.1]).with_lambda(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +514,7 @@ def test_validate_all_scope_catches_nonadjacent_pairs():
 
 def test_validate_lambda_override_argument():
     inst = make_instance(WELL_FORMED)
-    report = validate(inst, lam=[5.0, 5.0])
+    report = validate(inst.with_lambda([5.0, 5.0]))
     assert report.collision_free is False
 
 
@@ -521,14 +535,6 @@ def test_write_read_round_trip_exact(tmp_path, rng):
     assert np.array_equal(back.values, inst.values)
     assert np.array_equal(back.lam, inst.lam)
     assert back.label_offset == inst.label_offset
-
-
-def test_read_lambda_argument_beats_sidecar(tmp_path):
-    inst = make_instance(WELL_FORMED, lam=[0.5, 0.5])
-    path = tmp_path / "inst.csv"
-    write_instance(inst, path)
-    back = read_instance(path, lam=[0.9, 0.9])
-    assert tuple(back.lam) == (0.9, 0.9)
 
 
 def test_read_without_sidecar(tmp_path):

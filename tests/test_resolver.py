@@ -36,7 +36,7 @@ def test_radius_formula():
 def test_radius_lambda_override():
     inst = tie_instance()
     w = Linearization.pair(0.5)
-    assert abs(l1_radius(inst, w, lam=[2.0, 2.0]) - 2.0 / 10.0) <= 1e-15
+    assert abs(l1_radius(inst.with_lambda([2.0, 2.0]), w) - 2.0 / 10.0) <= 1e-15
 
 
 def test_resolve_identity_when_unique():
@@ -95,11 +95,11 @@ def test_resolve_equivalent_rows_unresolvable():
 
 
 def test_resolve_fails_when_radius_too_small():
-    # overriding lam shrinks the permitted nudge below anything that
+    # tiny separations shrink the permitted nudge below anything that
     # could separate the tied pair beyond the tie tolerance
-    inst = tie_instance()
+    inst = tie_instance().with_lambda([1e-12, 1e-12])
     with pytest.raises(ResolutionFailureError) as err:
-        resolve(inst, Linearization.pair(0.5), lam=[1e-12, 1e-12])
+        resolve(inst, Linearization.pair(0.5))
     assert err.value.tried  # the attempts are reported
 
 

@@ -111,14 +111,6 @@ def test_gap_scan_default_grid_size(small_pair):
     assert curve.s_values[0] == 0.0 and curve.s_values[-1] == 1.0
 
 
-def test_gap_scan_custom_grid_validation(small_pair):
-    h0, hw = small_pair
-    with pytest.raises(ConfigurationError):
-        gap_scan(h0, hw, s_values=np.array([0.0, 0.5, 0.4, 1.0]))
-    with pytest.raises(ConfigurationError):
-        gap_scan(h0, hw, s_values=np.array([-0.1, 0.5, 1.0]))
-
-
 def test_gap_scan_min_properties(small_pair):
     h0, hw = small_pair
     curve = gap_scan(h0, hw, points=64)
