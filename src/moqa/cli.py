@@ -133,12 +133,15 @@ def _add_instance_args(p: _Parser) -> None:
     p.add_argument("instance", nargs="?", help="instance CSV path")
     p.add_argument("--builtin", action="store_true",
                    help="use the bundled 7-bit benchmark table")
+
+
+def _add_lambda_arg(p: _Parser) -> None:
     p.add_argument("--lambda", dest="lam", metavar="L1,L2,...",
                    help="per-objective separation override")
 
 
-def _add_weight_arg(p: _Parser, required: bool = True) -> None:
-    p.add_argument("--w", dest="weights", action="append", required=required,
+def _add_weight_arg(p: _Parser) -> None:
+    p.add_argument("--w", dest="weights", action="append", required=True,
                    metavar="W1[,W2,...]",
                    help="objective weights; a single value W expands to (W, 1-W)")
 
@@ -151,6 +154,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check instance structure")
     _add_instance_args(p)
+    _add_lambda_arg(p)
     p.add_argument("--collision-scope", choices=["adjacent", "all"],
                    default="adjacent")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
@@ -163,6 +167,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gap-scan", help="two lowest eigenvalues along the schedule")
     _add_instance_args(p)
+    _add_lambda_arg(p)
     _add_weight_arg(p)
     p.add_argument("--initial-scale", type=float, default=DEFAULT_INITIAL_SCALE)
     p.add_argument("--points", type=int, default=DEFAULT_GRID_POINTS)
@@ -175,6 +180,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resolve", help="break a degenerate weighted minimum")
     _add_instance_args(p)
+    _add_lambda_arg(p)
     _add_weight_arg(p)
     p.add_argument("--degeneracy-tol", type=float, default=None)
     p.add_argument("--collision-scope", choices=["adjacent", "all"],

@@ -26,6 +26,8 @@ from .mco import Linearization, McoInstance, scalarize
 #: Driver-Hamiltonian prefactor used by the bundled experiments.
 DEFAULT_INITIAL_SCALE = 8.0
 HERMITICITY_TOL = 1e-12
+#: Commutator norm at or below which the driver and problem commute.
+COMMUTATOR_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +48,6 @@ class DiagonalHamiltonian:
     @property
     def dim(self) -> int:
         return int(self.diagonal.size)
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diagonal)
 
 
 def build_final(inst: McoInstance, w: Linearization) -> DiagonalHamiltonian:
@@ -202,28 +201,25 @@ def interpolation_dense(
 
 @dataclass(frozen=True)
 class CommutatorCheck:
-    """Spectral norm of [H_initial, H_final] against a threshold."""
+    """Spectral norm of [H_initial, H_final] against COMMUTATOR_TOL."""
 
     norm: float
-    tol: float
     commuting: bool
 
 
-def commutes(
-    h0: InitialHamiltonian, hw: DiagonalHamiltonian, tol: float = 1e-9
-) -> CommutatorCheck:
+def commutes(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> CommutatorCheck:
     """Measure whether the driver and problem Hamiltonians commute.
 
     Returns:
         CommutatorCheck with the spectral norm of the commutator;
-        commuting is True when the norm does not exceed tol.  A commuting
-        pair makes the interpolation eigenbasis constant, which defeats
-        the annealing mechanism.
+        commuting is True when the norm does not exceed COMMUTATOR_TOL.
+        A commuting pair makes the interpolation eigenbasis constant,
+        which defeats the annealing mechanism.
     """
     if h0.dim != hw.dim:
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     a = h0.dense()
     comm = a * hw.diagonal[None, :] - hw.diagonal[:, None] * a
     norm = float(np.linalg.norm(comm, 2))
-    return CommutatorCheck(norm=norm, tol=float(tol), commuting=norm <= tol)
+    return CommutatorCheck(norm=norm, commuting=norm <= COMMUTATOR_TOL)
 

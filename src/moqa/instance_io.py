@@ -143,8 +143,9 @@ def _sidecar_field(meta: Path, info: dict, key: str, convert):
 
 
 def _exact_int(value) -> int:
-    # int() truncates 2.9 to 2; n, d and label_offset must be integers.
-    if int(value) != value:
+    # int() truncates 2.9 to 2 and takes true as 1; n, d and label_offset
+    # must be integers.
+    if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -2,15 +2,14 @@
 
 The domain is the index set {0, ..., 2^n - 1} and an instance tabulates
 d >= 2 nonnegative objective values for every index.  This module holds
-the instance container, componentwise dominance, Pareto and trivial
-solution sets, convex scalarization, equivalence tests, and the
-supported/nonsupported classification of the Pareto front.
+the instance container, Pareto and trivial solution sets, convex
+scalarization, the equivalence test, and the supported/nonsupported
+classification of the Pareto front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -25,15 +24,6 @@ WEIGHT_SUM_TOL = 1e-12
 #: Relative tolerance used when testing whether an objective vector lies on
 #: a hull edge during the supported-solution classification.
 HULL_COLLINEAR_TOL = 1e-12
-
-
-class Dominance(Enum):
-    """Outcome of a componentwise comparison of two objective vectors."""
-
-    EQUAL = "equal"
-    PRECEDES = "precedes"
-    PRECEDED = "preceded"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +91,6 @@ class McoInstance:
         """Domain cardinality 2^n."""
         return int(self.values.shape[0])
 
-    def objective_vector(self, x: int) -> np.ndarray:
-        """Return the objective row of domain index x."""
-        return self.values[x]
-
     def label(self, x: int) -> int:
         """User-facing label of domain index x."""
         return x + self.label_offset
@@ -146,44 +132,12 @@ class Linearization:
         return int(self.weights.size)
 
     @classmethod
-    def uniform(cls, d: int) -> "Linearization":
-        """Equal weights 1/d on each of d objectives."""
-        return cls(np.full(d, 1.0 / d))
-
-    @classmethod
     def pair(cls, w1: float) -> "Linearization":
         """Two-objective shorthand: (w1, 1 - w1)."""
         return cls(np.array([w1, 1.0 - w1]))
 
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.weights)
-
-
-def dominance(u, v) -> Dominance:
-    """Compare two objective vectors componentwise.
-
-    Args:
-        u, v: Vectors of equal length.
-
-    Returns:
-        EQUAL when the vectors match exactly, PRECEDES when u is
-        componentwise <= v and differs somewhere, PRECEDED for the mirror
-        case, INCOMPARABLE otherwise.  Comparisons are exact; callers who
-        want approximate ties must round beforehand.
-    """
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"cannot compare vectors of shapes {a.shape} and {b.shape}"
-        )
-    if np.array_equal(a, b):
-        return Dominance.EQUAL
-    if np.all(a <= b):
-        return Dominance.PRECEDES
-    if np.all(b <= a):
-        return Dominance.PRECEDED
-    return Dominance.INCOMPARABLE
 
 
 def pareto_front(inst: McoInstance) -> tuple[int, ...]:
@@ -244,52 +198,18 @@ def equivalent(inst: McoInstance, x: int, y: int) -> bool:
     return bool(np.array_equal(inst.values[x], inst.values[y]))
 
 
-def weak_equivalence_witness(
-    inst: McoInstance, x: int, y: int
-) -> Linearization | None:
-    """Find a weighting under which rows x and y scalarize identically.
-
-    For two objectives the witness has the closed form
-    w1 = (f2(x) - f2(y)) / ((f2(x) - f2(y)) - (f1(x) - f1(y))) and is
-    accepted only when it lands strictly inside (0, 1).  For three or more
-    objectives the witness is found by linear-program feasibility over the
-    weight polytope, preferring solutions away from the degenerate corners.
-
-    Returns:
-        A valid Linearization, or None when no admissible weighting exists.
-        Exactly equal rows yield the uniform weighting.
-    """
-    if x == y or equivalent(inst, x, y):
-        return Linearization.uniform(inst.d)
-    delta = inst.values[x] - inst.values[y]
-    if inst.d == 2:
-        denom = delta[1] - delta[0]
-        if denom == 0.0:
-            return None
-        w1 = float(delta[1] / denom)
-        if 0.0 < w1 < 1.0:
-            return Linearization.pair(w1)
-        return None
-    w = _max_margin_weighting(inst.d, eq_rows=delta)
-    scale = max(1.0, float(np.max(np.abs(delta))))
-    if w is None or abs(float(delta @ w.weights)) > 1e-9 * scale:
-        return None
-    return w
-
-
-def _max_margin_weighting(d: int, eq_rows=(), ub_rows=()) -> Linearization | None:
+def _max_margin_weighting(d: int, ub_rows: np.ndarray) -> Linearization | None:
     # Maximize t subject to sum w = 1, 0 <= w_i, w_i + t <= 1 and the
-    # caller's rows eq_rows @ w = 0, ub_rows @ w <= 0.  t > 0 certifies an
-    # admissible weighting (every entry strictly below 1) that meets them.
+    # caller's rows ub_rows @ w <= 0.  t > 0 certifies an admissible
+    # weighting (every entry strictly below 1) that meets them.
     from scipy.optimize import linprog
 
-    eq = np.reshape(eq_rows, (-1, d))
-    ub = np.reshape(ub_rows, (-1, d))
     # Variables w_1..w_d, t; the t column is zero in the caller's rows.
-    a_eq = np.block([[np.ones((1, d)), 0.0], [eq, np.zeros((len(eq), 1))]])
-    a_ub = np.block([[np.eye(d), np.ones((d, 1))], [ub, np.zeros((len(ub), 1))]])
-    b_eq = np.r_[1.0, np.zeros(len(eq))]
-    b_ub = np.r_[np.ones(d), np.zeros(len(ub))]
+    a_eq = np.r_[np.ones(d), 0.0][None, :]
+    a_ub = np.block([[np.eye(d), np.ones((d, 1))],
+                     [ub_rows, np.zeros((len(ub_rows), 1))]])
+    b_eq = np.ones(1)
+    b_ub = np.r_[np.ones(d), np.zeros(len(ub_rows))]
     c = np.r_[np.zeros(d), -1.0]
     bounds = [(0.0, 1.0)] * d + [(None, 1.0)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
@@ -365,7 +285,7 @@ def _supported_by_lp(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ..
     tol = 1e-9 * max(1.0, float(vals.max()))
     supported = []
     for x in front:
-        w = _max_margin_weighting(inst.d, ub_rows=vals[x] - front_vals)
+        w = _max_margin_weighting(inst.d, vals[x] - front_vals)
         if w is None:
             continue
         sums = scalarize(inst, w)

@@ -136,11 +136,6 @@ class DegeneracyReport:
     min_value: float
     multiplicity: int
     witnesses: tuple[int, ...]
-    tol: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.multiplicity > 1
 
 
 def degeneracy_check(
@@ -158,7 +153,6 @@ def degeneracy_check(
         min_value=min_value,
         multiplicity=len(witnesses),
         witnesses=witnesses,
-        tol=float(tol),
     )
 
 

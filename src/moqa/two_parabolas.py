@@ -4,7 +4,8 @@ Instances place one objective's minimum at index x0 and the other's at
 x0p > x0 + 1, with both objectives decreasing left of x0, both increasing
 right of x0p, and a trade-off segment in between.  The bundled 7-bit table
 (128 rows, values to three decimals) ships verbatim with a checksum; a
-seeded generator produces fresh instances of any size.
+seeded generator produces fresh instances, though its rejection sampling
+succeeds for fewer seeds as n grows.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ def builtin_instance() -> McoInstance:
     )
 
 
+#: Jitter draws generate tries before giving up on the all-pairs check.
+MAX_RETRIES = 32
+
+
 @dataclass(frozen=True)
 class TwoParabolasParams:
     """Generator knobs for a fresh two-parabolas instance.
@@ -102,8 +107,6 @@ class TwoParabolasParams:
             objective must exceed its entry.
         jitter: Relative spread of the multiplicative step noise.
         seed: RNG seed; the generator is deterministic per seed.
-        max_retries: Jitter redraws allowed before giving up on the
-            all-pairs separation post-check.
     """
 
     n: int
@@ -114,7 +117,6 @@ class TwoParabolasParams:
     lam: tuple[float, float] = (0.2, 0.4)
     jitter: float = 0.05
     seed: int = 0
-    max_retries: int = 32
 
     def __post_init__(self):
         size = 1 << self.n
@@ -128,6 +130,10 @@ class TwoParabolasParams:
             raise ConfigurationError("optima must be separated by more than one index")
         if not (0.0 <= self.jitter < 0.5):
             raise ConfigurationError("jitter must lie in [0, 0.5)")
+        if len(self.lam) != 2:
+            raise ConfigurationError(f"need 2 separations, got {len(self.lam)}")
+        if not np.all(np.isfinite([*self.lam, *self.curvature1, *self.curvature2])):
+            raise ConfigurationError("separations and curvatures must be finite")
         for lam_i, curv in zip(self.lam, (self.curvature1, self.curvature2)):
             if lam_i <= 0:
                 raise ConfigurationError("separation entries must be positive")
@@ -161,7 +167,7 @@ def generate(params: TwoParabolasParams) -> McoInstance:
     with distance, so each objective is a jittered discrete parabola.  A
     post-check requires every pair of values within an objective to differ
     by more than the target separation (all-pairs); on failure the jitter
-    is redrawn up to params.max_retries times.
+    is redrawn up to MAX_RETRIES times.
 
     Returns:
         McoInstance with lam = params.lam and label_offset = 0.
@@ -171,7 +177,7 @@ def generate(params: TwoParabolasParams) -> McoInstance:
     """
     size = 1 << params.n
     rng = np.random.default_rng(params.seed)
-    for _ in range(params.max_retries):
+    for _ in range(MAX_RETRIES):
         f1 = _branch_values(size, params.x0, *params.curvature1, params.jitter, rng)
         f2 = _branch_values(size, params.x0p, *params.curvature2, params.jitter, rng)
         if _all_pairs_separated(f1, params.lam[0]) and _all_pairs_separated(
@@ -180,7 +186,7 @@ def generate(params: TwoParabolasParams) -> McoInstance:
             values = np.column_stack([f1, f2])
             return McoInstance(values, lam=np.asarray(params.lam))
     raise GenerationError(
-        f"no jitter draw in {params.max_retries} tries gave all-pairs "
+        f"no jitter draw in {MAX_RETRIES} tries gave all-pairs "
         f"separations above {params.lam}"
     )
 

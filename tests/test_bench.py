@@ -168,6 +168,18 @@ def test_params_reject_bad_jitter():
         TwoParabolasParams(n=4, x0=4, x0p=11, jitter=0.7)
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param({"lam": (np.nan, 0.3)}, id="lam_nan"),
+    pytest.param({"lam": (0.2,)}, id="lam_short"),
+    pytest.param({"curvature1": (0.4, np.nan)}, id="curvature_nan"),
+    pytest.param({"curvature1": (0.4, np.inf)}, id="curvature_inf"),
+])
+def test_params_reject_malformed_separation_or_curvature(bad):
+    # Rejected up front, not after every jitter draw has failed.
+    with pytest.raises(ConfigurationError):
+        TwoParabolasParams(n=4, x0=4, x0p=11, **bad)
+
+
 def test_generate_exhausts_retries():
     """Mirrored curvature with zero jitter collides the two branches of
     each parabola exactly, so every draw fails the all-pairs check."""
@@ -180,7 +192,6 @@ def test_generate_exhausts_retries():
         lam=(0.5, 0.75),
         jitter=0.0,
         seed=0,
-        max_retries=3,
     )
     with pytest.raises(GenerationError):
         generate(params)

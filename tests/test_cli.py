@@ -61,6 +61,17 @@ def tie_csv(tmp_path):
 
 
 @pytest.fixture
+def d3_csv(tmp_path):
+    """Row 3 ties rows 0 and 1 only under a weighting with a zero entry."""
+    inst = McoInstance(
+        np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.5, 2.0]])
+    )
+    path = tmp_path / "d3.csv"
+    write_instance(inst, path)
+    return str(path)
+
+
+@pytest.fixture
 def twin_csv(tmp_path):
     """Rows 1 and 3 are identical vectors; they are not neighbors, so the
     adjacent-scope validation still passes."""
@@ -118,6 +129,24 @@ def test_validate_stdout_when_no_output(capsys):
     assert payload["pass"] is True
 
 
+def test_lambda_flag_only_where_read(tmp_path, tie_csv, capsys):
+    # front and evolve never read the separation vector, so they take no
+    # --lambda; validate, gap-scan and resolve do.
+    assert main(["front", tie_csv, "--lambda", "1,1"]) == EXIT_IO
+    assert main(["evolve", tie_csv, "--w", "0.25", "--T", "5",
+                 "--lambda", "1,1"]) == EXIT_IO
+    assert "unrecognized arguments: --lambda 1,1" in capsys.readouterr().err
+    code, payload = run_json(tmp_path, "validate", tie_csv, "--lambda", "9,9")
+    assert (code, payload["lambda"]) == (EXIT_VALIDATION, [9.0, 9.0])
+    code, payload = run_json(tmp_path, "gap-scan", tie_csv, "--w", "0.25",
+                             "--points", "4", "--lambda", "0.5,0.5",
+                             "--curve", str(tmp_path / "c.csv"))
+    assert (code, payload["diagnostics"]["separations"]) == (EXIT_OK, [0.5, 0.5])
+    code, payload = run_json(tmp_path, "resolve", tie_csv, "--w", "0.5",
+                             "--lambda", "0.5,0.5")
+    assert (code, payload["chosen_label"]) == (EXIT_OK, 1)
+
+
 def test_missing_file_is_io_error(tmp_path):
     code = main(["validate", str(tmp_path / "nope.csv")])
     assert code == EXIT_IO
@@ -146,6 +175,8 @@ def test_unknown_flag_is_usage_error():
     pytest.param({"n": 1.5}, id="n_fractional"),
     pytest.param({"d": 2.5}, id="d_fractional"),
     pytest.param({"label_offset": 1.7}, id="label_offset_fractional"),
+    pytest.param({"n": True}, id="n_bool"),
+    pytest.param({"label_offset": True}, id="label_offset_bool"),
 ], ids=lambda sidecar: next(iter(sidecar)))
 def test_malformed_sidecar_is_format_error(tmp_path, capsys, sidecar):
     table = tmp_path / "t.csv"
@@ -183,17 +214,20 @@ def test_front_partitions_front(tmp_path, tie_csv):
 # exact output
 
 
-# golden file stem -> command line; TIE stands for the tie_csv fixture's path
+# golden file stem -> command line; TIE and D3 stand for the tie_csv and
+# d3_csv fixtures' paths
 GOLDEN_RUNS = {
     "validate_builtin": ["validate", "--builtin"],
     "front_builtin": ["front", "--builtin"],
+    "front_d3": ["front", "D3"],
     "resolve_tie": ["resolve", "TIE", "--w", "0.5"],
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_output_bytes_match_golden(capsys, tie_csv, name):
-    code = main([tie_csv if a == "TIE" else a for a in GOLDEN_RUNS[name]])
+def test_output_bytes_match_golden(capsys, tie_csv, d3_csv, name):
+    paths = {"TIE": tie_csv, "D3": d3_csv}
+    code = main([paths.get(a, a) for a in GOLDEN_RUNS[name]])
     assert code == EXIT_OK
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 

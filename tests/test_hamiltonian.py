@@ -46,14 +46,6 @@ def test_final_diagonal_equals_scalarization(rng):
     assert hw.dim == inst.size
 
 
-def test_final_dense_matrix(rng):
-    inst = random_instance(rng, 2, 2)
-    hw = build_final(inst, Linearization.pair(0.5))
-    dense = hw.dense()
-    assert np.array_equal(np.diag(dense), hw.diagonal)
-    assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
-
-
 def test_diagonal_rejects_negative_entries():
     with pytest.raises(ConfigurationError):
         DiagonalHamiltonian(np.array([1.0, -0.5]))

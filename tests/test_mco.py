@@ -1,4 +1,4 @@
-"""Core model tests: dominance, fronts, linearizations, validation, I/O.
+"""Core model tests: fronts, linearizations, validation, I/O.
 
 Every structural claim is checked against a small independent oracle
 written with plain loops (or an LP), never against the library's own
@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from moqa import (
-    Dominance,
     DimensionMismatchError,
     InstanceFormatError,
     InvalidLinearizationError,
     Linearization,
     McoInstance,
-    dominance,
     equivalent,
     pareto_front,
     read_instance,
@@ -28,10 +26,8 @@ from moqa import (
     supported_solutions,
     trivial_solutions,
     validate,
-    weak_equivalence_witness,
     write_instance,
 )
-from moqa.mco import WEIGHT_SUM_TOL
 
 from conftest import make_instance, random_instance
 
@@ -98,66 +94,6 @@ def oracle_supported(values, front, x, margin=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# dominance relation
-
-vectors = st.lists(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    min_size=2,
-    max_size=5,
-)
-
-
-def test_dominance_hand_cases():
-    u, v = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    assert dominance(u, v) is Dominance.PRECEDES
-    assert dominance(v, u) is Dominance.PRECEDED
-    assert dominance(u, u) is Dominance.EQUAL
-    assert dominance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) is Dominance.INCOMPARABLE
-
-
-def test_dominance_equal_rows_do_not_dominate():
-    u = np.array([2.0, 3.0])
-    assert dominance(u, u.copy()) is Dominance.EQUAL
-
-
-def test_dominance_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        dominance(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
-
-
-@given(u=vectors, v=vectors)
-def test_dominance_matches_oracle(u, v):
-    if len(u) != len(v):
-        u = u[: min(len(u), len(v))]
-        v = v[: len(u)]
-    rel = dominance(np.array(u), np.array(v))
-    if u == v:
-        assert rel is Dominance.EQUAL
-    elif oracle_dominates(u, v):
-        assert rel is Dominance.PRECEDES
-    elif oracle_dominates(v, u):
-        assert rel is Dominance.PRECEDED
-    else:
-        assert rel is Dominance.INCOMPARABLE
-
-
-@given(u=vectors, v=vectors)
-def test_dominance_antisymmetric(u, v):
-    if len(u) != len(v):
-        u = u[: min(len(u), len(v))]
-        v = v[: len(u)]
-    a = dominance(np.array(u), np.array(v))
-    b = dominance(np.array(v), np.array(u))
-    flip = {
-        Dominance.PRECEDES: Dominance.PRECEDED,
-        Dominance.PRECEDED: Dominance.PRECEDES,
-        Dominance.EQUAL: Dominance.EQUAL,
-        Dominance.INCOMPARABLE: Dominance.INCOMPARABLE,
-    }
-    assert b is flip[a]
-
-
-# ---------------------------------------------------------------------------
 # instance container
 
 
@@ -182,7 +118,6 @@ def test_instance_shape_and_labels():
     inst = make_instance([[0.0, 3.0], [1.0, 1.0], [3.0, 0.0], [4.0, 4.0]], label_offset=1)
     assert (inst.n, inst.d, inst.size) == (2, 2, 4)
     assert inst.label(0) == 1
-    assert tuple(inst.objective_vector(2)) == (3.0, 0.0)
 
 
 def test_instance_values_read_only():
@@ -274,12 +209,6 @@ def test_linearization_pair_shorthand():
     assert w.as_tuple() == (0.57, 1.0 - 0.57)
 
 
-def test_linearization_uniform():
-    w = Linearization.uniform(4)
-    assert w.d == 4
-    assert abs(sum(w.as_tuple()) - 1.0) <= WEIGHT_SUM_TOL
-
-
 def test_linearization_rejects_bad_weights():
     with pytest.raises(InvalidLinearizationError):
         Linearization((0.5, 0.6))
@@ -317,70 +246,13 @@ def test_scalarization_argmin_is_pareto_optimal(w1):
 
 
 # ---------------------------------------------------------------------------
-# equivalence and weak-equivalence witnesses
+# equivalence
 
 
 def test_equivalent_requires_exact_equality():
     inst = make_instance([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0 + 1e-12], [5.0, 5.0]])
     assert equivalent(inst, 0, 1)
     assert not equivalent(inst, 0, 2)
-
-
-def test_witness_closed_form_two_objectives():
-    # rows 0 and 1 tie exactly at w1 = 0.25: 0.25*4 = 0.25*0 + 0.75*(4/3)
-    inst = make_instance([[4.0, 0.0], [0.0, 4.0 / 3.0], [9.0, 9.0], [8.0, 7.0]])
-    w = weak_equivalence_witness(inst, 0, 1)
-    assert w is not None
-    s = scalarize(inst, w)
-    assert abs(s[0] - s[1]) <= 1e-12
-    assert abs(w.as_tuple()[0] - 0.25) <= 1e-12
-
-
-def test_witness_none_when_one_row_dominates():
-    inst = make_instance([[1.0, 1.0], [2.0, 3.0]])
-    assert weak_equivalence_witness(inst, 0, 1) is None
-
-
-def test_witness_for_equal_rows_exists():
-    inst = make_instance([[2.0, 2.0], [2.0, 2.0]])
-    w = weak_equivalence_witness(inst, 0, 1)
-    assert w is not None
-
-
-def test_witness_higher_dimensional_via_lp():
-    inst = make_instance(
-        [[3.0, 0.0, 1.0], [0.0, 2.0, 2.0], [6.0, 6.0, 6.0], [5.0, 5.0, 7.0]]
-    )
-    w = weak_equivalence_witness(inst, 0, 1)
-    assert w is not None
-    s = scalarize(inst, w)
-    assert abs(s[0] - s[1]) <= 1e-9
-    tup = w.as_tuple()
-    assert all(0.0 <= v < 1.0 for v in tup)
-    assert abs(sum(tup) - 1.0) <= 1e-9
-
-
-def test_witness_none_for_dominated_triple():
-    inst = make_instance(
-        [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [9.0, 9.0, 9.0], [8.0, 8.0, 8.0]]
-    )
-    assert weak_equivalence_witness(inst, 0, 1) is None
-
-
-def test_witness_agrees_with_scalarized_tie(rng):
-    checked = 0
-    while checked < 25:
-        inst = random_instance(rng, 3, 2)
-        front = sorted(oracle_front(inst.values.tolist()))
-        if len(front) < 2:
-            continue
-        x, y = front[0], front[-1]
-        w = weak_equivalence_witness(inst, x, y)
-        if w is None:
-            continue
-        s = scalarize(inst, w)
-        assert abs(s[x] - s[y]) <= 1e-9
-        checked += 1
 
 
 # ---------------------------------------------------------------------------

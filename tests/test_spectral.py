@@ -143,7 +143,6 @@ def test_degeneracy_unique_minimum():
     hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 5.0]))
     report = degeneracy_check(hw)
     assert report.multiplicity == 1
-    assert not report.degenerate
     assert report.witnesses == (1,)
     assert report.min_value == 1.0
 
@@ -151,15 +150,14 @@ def test_degeneracy_unique_minimum():
 def test_degeneracy_exact_tie():
     hw = DiagonalHamiltonian(np.array([2.0, 1.0, 1.0, 5.0]))
     report = degeneracy_check(hw)
-    assert report.degenerate
     assert report.multiplicity == 2
     assert report.witnesses == (1, 2)
 
 
 def test_degeneracy_tolerance_window():
     hw = DiagonalHamiltonian(np.array([1.0, 1.0 + 5e-10, 3.0, 5.0]))
-    assert degeneracy_check(hw).degenerate  # within the default window
-    assert not degeneracy_check(hw, tol=1e-12).degenerate
+    assert degeneracy_check(hw).multiplicity == 2  # within the default window
+    assert degeneracy_check(hw, tol=1e-12).multiplicity == 1
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
