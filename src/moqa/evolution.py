@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DimensionMismatchError, NormalizationError
 from .hamiltonians import (
@@ -117,6 +116,8 @@ def evolve(
         )
 
     if total_time > 0:
+        import scipy.linalg
+
         dt = total_time / steps
         for k in range(steps):
             s_mid = (k + 0.5) / steps

@@ -124,9 +124,7 @@ def read_instance(csv_path) -> McoInstance:
                 f"{meta}: sidecar d={info['d']} disagrees with {d} columns"
             )
         if info.get("lambda") is not None:
-            lam = _sidecar_field(
-                meta, info, "lambda", lambda v: np.asarray(v, dtype=np.float64)
-            )
+            lam = _sidecar_field(meta, info, "lambda", _float_array)
         if "label_offset" in info:
             label_offset = _sidecar_field(meta, info, "label_offset", _exact_int)
 
@@ -148,6 +146,19 @@ def _exact_int(value) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _float_array(value) -> np.ndarray:
+    # np.asarray takes true as 1.0; separations must be numbers.
+    if _holds_bool(value):
+        raise ValueError(f"{value!r} holds a boolean")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def write_instance(inst: McoInstance, csv_path) -> None:

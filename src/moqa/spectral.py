@@ -4,6 +4,12 @@ Provides the smallest eigenpair queries, gap curves over a schedule grid,
 degeneracy detection on the problem diagonal, spectral norms, runtime
 estimates, and the end-of-schedule gap diagnostics that relate the
 spectrum at s = 1 to the instance's separation vector.
+
+With the default driver scale * (I - |u><u|), where u is the uniform
+superposition, every operator analysed here is a diagonal plus a rank-one
+term.  Its eigenvalues are then roots of a secular equation over the
+distinct diagonal levels (Golub 1973), which secular_roots brackets and
+bisects without forming a matrix.  Other drivers take the dense path.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigurationError,
@@ -34,6 +39,12 @@ DEGENERACY_TOL = 1e-9
 RESIDUAL_REL_TOL = 1e-8
 DEFAULT_GRID_POINTS = 512
 GAP_CSV_HEADER = "s,lambda0,lambda1,gap"
+#: secular_roots takes rows in blocks of about this many elements divided by
+#: the number of distinct levels, so its temporaries stay bounded.
+SECULAR_BLOCK = 1 << 16
+#: Bisection halvings after which secular_roots stops even if a bracket is
+#: still wider than one float64 spacing.
+SECULAR_MAX_STEPS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +68,8 @@ def smallest_two(op: HermitianOperator) -> tuple[EigenPair, EigenPair]:
     Returns:
         (ground, first_excited) EigenPairs.
     """
+    import scipy.linalg
+
     vals, vecs = scipy.linalg.eigh(op.entries, subset_by_index=(0, 1))
     return (
         EigenPair(float(vals[0]), vecs[:, 0].copy()),
@@ -104,12 +117,64 @@ def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
+def secular_roots(offsets, weights, slopes, target, lo, hi) -> np.ndarray:
+    """Bracketed roots of rank-one secular equations, one per row.
+
+    Away from its poles d_j, diag(d) + rho * |z><z| has the eigenvalue
+    p + tau, for a reference pole p, exactly where
+    sum_j z_j**2 / (d_j - p - tau) = -1 / rho.  Row b solves
+    sum_j weights[j] / (slopes[b] * offsets[j] - tau) = target[b] for tau
+    in (lo[b], hi[b]), with slopes[b] * offsets[j] standing for d_j - p:
+    measuring from p keeps the pole distances free of cancellation.  The
+    bracket must hold no pole, so the sum rises strictly across it, and
+    bisection narrows it to adjacent floats.
+
+    Args:
+        offsets: Level offsets, shape (K,).
+        weights: Level weights z_j**2, shape (K,).
+        slopes, target, lo, hi: Per-row scalars, broadcast together.
+
+    Returns:
+        tau per row.  Rows go in blocks of about SECULAR_BLOCK / K, so no
+        temporary grows with rows * K.
+    """
+    slopes, target, lo, hi = np.broadcast_arrays(*np.atleast_1d(slopes, target, lo, hi))
+    out = np.empty(slopes.shape)
+    step = max(1, SECULAR_BLOCK // offsets.size)
+    # A converged row may bisect onto a pole; its sum is never used.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, out.size, step):
+            rows = slice(start, start + step)
+            poles = slopes[rows, None] * offsets
+            buf = np.empty_like(poles)
+            a, b, t = lo[rows], hi[rows], target[rows]
+            for _ in range(SECULAR_MAX_STEPS):
+                mid = 0.5 * (a + b)
+                if np.all((mid <= a) | (mid >= b)):
+                    break
+                np.subtract(poles, mid[:, None], out=buf)
+                np.divide(weights, buf, out=buf)
+                right = buf.sum(axis=1) < t
+                a = np.where(right, mid, a)
+                b = np.where(right, b, mid)
+            out[rows] = 0.5 * (a + b)
+    return out
+
+
 def gap_scan(
     h0: InitialHamiltonian,
     hw: DiagonalHamiltonian,
     points: int = DEFAULT_GRID_POINTS,
 ) -> GapCurve:
     """Track the two lowest eigenvalues across the schedule.
+
+    With the default driver, H(s) = diag(a) - c |u><u| for
+    a = c + s * D and c = (1 - s) * scale.  The lowest eigenvalue is the
+    secular root in (a_0 - c, a_0); the next is the root in (a_0, a_1),
+    or a_0 itself when the minimum of D is tied.  Each sample costs
+    O(K) per bisection step for K distinct values of D, and s = 0 and
+    s = 1 are exact closed forms.  Other drivers take one dense
+    eigensolve, O(N^3), per sample.
 
     Args:
         h0: Driver Hamiltonian.
@@ -120,12 +185,38 @@ def gap_scan(
         GapCurve over uniform_grid(points).
     """
     grid = uniform_grid(points)
-    lambda0 = np.empty(grid.size)
-    lambda1 = np.empty(grid.size)
-    for k, s in enumerate(grid):
-        mat = interpolation_dense(h0, hw, float(s))
-        vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=(0, 1))
-        lambda0[k], lambda1[k] = float(vals[0]), float(vals[1])
+    if h0.dim != hw.dim:
+        raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
+    if h0.is_default:
+        levels, counts = np.unique(hw.diagonal, return_counts=True)
+        offsets = levels - levels[0]
+        coupling = (1.0 - grid) * h0.scale
+        pole0 = coupling + grid * levels[0]
+        # Exact where every pole coincides (s = 0, or one level) and at
+        # s = 1, where the coupling vanishes; a tied minimum keeps a_0.
+        lambda0 = pole0 - coupling
+        lambda1 = pole0.copy()
+        if levels.size > 1:
+            inner = (grid > 0.0) & (grid < 1.0)
+            s, c = grid[inner], coupling[inner]
+            weights = counts / hw.dim
+            lambda0[inner] = pole0[inner] + secular_roots(
+                offsets, weights, s, 1.0 / c, -c, 0.0
+            )
+            if counts[0] == 1:
+                lambda1[inner] += secular_roots(
+                    offsets, weights, s, 1.0 / c, 0.0, s * offsets[1]
+                )
+                lambda1[grid == 1.0] = levels[1]
+    else:
+        import scipy.linalg
+
+        lambda0 = np.empty(grid.size)
+        lambda1 = np.empty(grid.size)
+        for k, s in enumerate(grid):
+            mat = interpolation_dense(h0, hw, float(s))
+            vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=(0, 1))
+            lambda0[k], lambda1[k] = float(vals[0]), float(vals[1])
     return GapCurve(grid, lambda0, lambda1, lambda1 - lambda0)
 
 
@@ -161,13 +252,30 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
 
     Under the linear schedule this is the norm of the (constant) schedule
     derivative of the interpolation, the quantity runtime estimates need.
+    With the default driver the difference is diag(D - scale) +
+    scale |u><u|, and its extreme eigenvalues are two secular roots: the
+    largest in (e_max, e_max + scale) - scale, the smallest in
+    (e_0, e_1) - scale, or e_0 - scale itself when the minimum of D is
+    tied.  Other drivers take one dense eigvalsh, O(N^3).
     """
     if h0.dim != hw.dim:
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
-    diff = -h0.dense()
-    diff[np.diag_indices(hw.dim)] += hw.diagonal
-    vals = np.linalg.eigvalsh(diff)
-    return float(np.max(np.abs(vals)))
+    if not h0.is_default:
+        diff = -h0.dense()
+        diff[np.diag_indices(hw.dim)] += hw.diagonal
+        vals = np.linalg.eigvalsh(diff)
+        return float(np.max(np.abs(vals)))
+    scale = h0.scale
+    levels, counts = np.unique(hw.diagonal, return_counts=True)
+    offsets = levels - levels[0]
+    lo, hi = [offsets[-1]], [offsets[-1] + scale]
+    if counts[0] == 1:
+        lo.append(0.0)
+        hi.append(offsets[1])
+    roots = secular_roots(offsets, counts / hw.dim, 1.0, -1.0 / scale, lo, hi)
+    base = levels[0] - scale
+    bottom = base + roots[1] if counts[0] == 1 else base
+    return float(max(abs(base + roots[0]), abs(bottom)))
 
 
 @dataclass(frozen=True)

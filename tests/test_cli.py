@@ -177,6 +177,7 @@ def test_unknown_flag_is_usage_error():
     pytest.param({"label_offset": 1.7}, id="label_offset_fractional"),
     pytest.param({"n": True}, id="n_bool"),
     pytest.param({"label_offset": True}, id="label_offset_bool"),
+    pytest.param({"lambda": [True, True]}, id="lambda_bool"),
 ], ids=lambda sidecar: next(iter(sidecar)))
 def test_malformed_sidecar_is_format_error(tmp_path, capsys, sidecar):
     table = tmp_path / "t.csv"
@@ -704,11 +705,13 @@ def test_module_entry_point_smoke():
     assert "moqa" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported only when a linear program is solved.
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # scipy.optimize is imported only when a linear program is solved, and
+    # scipy.linalg only when a dense eigensolve runs.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, moqa.cli; print('scipy.optimize' in sys.modules)"],
+         f"import sys, moqa.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr

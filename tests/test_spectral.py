@@ -1,21 +1,27 @@
 """Eigenvalue, gap-scan, and runtime-estimate tests.
 
 The two-smallest-eigenpairs routine is checked against full dense
-decompositions done directly with numpy.
+decompositions done directly with numpy, and so are the secular-equation
+gap scan, delta_max and commutator norm of the default driver.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moqa import (
     ConfigurationError,
     DEGENERACY_TOL,
     DegenerateGapError,
     DiagonalHamiltonian,
+    DimensionMismatchError,
     HermitianOperator,
     Linearization,
     build_final,
     build_initial,
+    commutes,
     degeneracy_check,
     delta_max,
     end_gap_diagnostics,
@@ -25,6 +31,7 @@ from moqa import (
     smallest_two,
     uniform_grid,
 )
+from moqa import hamiltonians, spectral
 from moqa.spectral import GAP_CSV_HEADER, RESIDUAL_REL_TOL
 
 from conftest import make_instance, random_instance
@@ -259,3 +266,115 @@ def test_end_gap_diagnostics_with_scan_curve(rng):
     assert diag.min_gap_attained_at_end == (
         curve.g_min >= diag.end_gap - DEGENERACY_TOL
     )
+
+
+# ---------------------------------------------------------------------------
+# default-driver fast path against a dense oracle built here
+
+
+def dense_driver(dim, scale, h_values=None):
+    """scale * W diag(h) W for the orthonormal Hadamard matrix W."""
+    h = np.r_[0.0, np.ones(dim - 1)] if h_values is None else np.asarray(h_values)
+    walsh = scipy.linalg.hadamard(dim) / np.sqrt(dim)
+    return scale * (walsh * h) @ walsh
+
+
+def dense_oracle(driver, diag, grid):
+    """(lambda0, lambda1, ||H(s)||) per grid point, delta_max, ||[H0, Hw]||."""
+    rows = []
+    for s in grid:
+        vals = np.linalg.eigvalsh((1.0 - s) * driver + s * np.diag(diag))
+        rows.append((vals[0], vals[1], np.max(np.abs(vals))))
+    dmax = np.max(np.abs(np.linalg.eigvalsh(np.diag(diag) - driver)))
+    comm = driver * diag[None, :] - diag[:, None] * driver
+    return np.array(rows), dmax, np.linalg.norm(comm, 2)
+
+
+@st.composite
+def default_driver_cases(draw):
+    """(scale, diagonal) on n <= 8 bits with few, repeated levels."""
+    n = draw(st.integers(1, 8))
+    level = st.floats(0.0, 1e6, allow_subnormal=False)
+    pool = draw(st.lists(level, min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    diag = np.asarray(pool)[np.random.default_rng(seed).integers(0, len(pool), 1 << n)]
+    scale = draw(st.sampled_from([8.0, 0.25, 3.0, 1e3]))
+    return scale, diag
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=default_driver_cases())
+@example(case=(8.0, np.array([2.0, 0.5, 0.5, 7.0, 3.0, 3.0, 3.0, 9.0])))  # tied min
+@example(case=(8.0, np.array([1.0, 4.0, 4.0, 4.0, 2.0, 6.0, 6.0, 5.0])))  # repeats
+@example(case=(3.0, np.full(256, 987654.321)))  # one level
+@example(case=(0.25, np.array([0.0, 1e6])))  # n = 1, wide range
+@example(case=(1e3, np.array([3.0, 3.0])))  # n = 1, tied
+def test_default_driver_matches_dense_oracle(case):
+    scale, diag = case
+    h0 = build_initial(diag.size.bit_length() - 1, scale=scale)
+    hw = DiagonalHamiltonian(diag)
+    curve = gap_scan(h0, hw, points=9)
+    ref, dmax, comm = dense_oracle(dense_driver(diag.size, scale), diag, curve.s_values)
+    tol = 1e-9 * np.maximum(1.0, ref[:, 2])
+    assert np.all(np.abs(curve.lambda0 - ref[:, 0]) <= tol)
+    assert np.all(np.abs(curve.lambda1 - ref[:, 1]) <= tol)
+    assert np.all(np.abs(curve.gap - (ref[:, 1] - ref[:, 0])) <= tol)
+    assert abs(delta_max(h0, hw) - dmax) <= 1e-9 * max(1.0, dmax)
+    check = commutes(h0, hw)
+    assert abs(check.norm - comm) <= 1e-9 * max(1.0, scale * diag.max())
+    if np.all(diag == diag[0]):
+        assert check.commuting and check.norm == 0.0
+    # The endpoints are closed forms: H(0) has spectrum {0, scale}, and
+    # H(1) is the diagonal itself, a tied minimum included.
+    low = np.sort(diag)
+    assert (curve.lambda0[0], curve.lambda1[0]) == (0.0, scale)
+    assert (curve.lambda0[-1], curve.lambda1[-1]) == (low[0], low[1])
+
+
+def test_default_driver_skips_dense_solvers(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense solver ran")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    monkeypatch.setattr(spectral, "interpolation_dense", refuse)
+    h0 = build_initial(5)
+    hw = DiagonalHamiltonian(rng.uniform(0.0, 50.0, 32))
+    assert gap_scan(h0, hw, points=16).g_min > 0.0
+    assert delta_max(h0, hw) > 0.0
+    assert commutes(h0, hw).norm > 0.0
+
+
+def test_nondefault_driver_matches_dense_oracle(rng):
+    h_values = np.r_[0.0, rng.uniform(1.0, 4.0, 7)]
+    h0 = build_initial(3, scale=2.0, h_values=h_values)
+    diag = rng.uniform(0.0, 20.0, 8)
+    hw = DiagonalHamiltonian(diag)
+    curve = gap_scan(h0, hw, points=9)
+    ref, dmax, comm = dense_oracle(dense_driver(8, 2.0, h_values), diag, curve.s_values)
+    tol = 1e-9 * np.maximum(1.0, ref[:, 2])
+    assert np.all(np.abs(curve.lambda0 - ref[:, 0]) <= tol)
+    assert np.all(np.abs(curve.lambda1 - ref[:, 1]) <= tol)
+    assert abs(delta_max(h0, hw) - dmax) <= 1e-9 * max(1.0, dmax)
+    assert abs(commutes(h0, hw).norm - comm) <= 1e-9 * max(1.0, comm)
+
+
+@pytest.mark.parametrize("default", [True, False], ids=["default", "nondefault"])
+@pytest.mark.parametrize("call", [
+    lambda h0, hw: gap_scan(h0, hw, points=4), delta_max, commutes,
+], ids=["gap_scan", "delta_max", "commutes"])
+def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
+    h0 = build_initial(3, h_values=None if default else np.r_[0.0, np.full(7, 2.0)])
+    hw = DiagonalHamiltonian(np.arange(4.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the dimension check")
+
+    for owner, name in [(scipy.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (np.linalg, "norm"), (np, "unique"), (np, "std"),
+                        (spectral, "interpolation_dense"),
+                        (hamiltonians.InitialHamiltonian, "dense")]:
+        monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(DimensionMismatchError):
+        call(h0, hw)
