@@ -3,8 +3,6 @@
 Subcommands: validate, front, gap-scan, resolve, evolve, bench export.
 Exit codes: 0 success, 1 I/O or argument parse failure, 2 instance
 validation failure, 3 unresolvable degeneracy, 4 numerical failure.
-The degeneracy tolerance can be overridden globally through the
-MOQA_DEGENERACY_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -64,23 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _env_degeneracy_tol() -> float:
-    raw = os.environ.get("MOQA_DEGENERACY_TOL")
-    if raw is None:
-        return DEGENERACY_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"MOQA_DEGENERACY_TOL={raw!r} is not a number"
-        ) from None
-    if not np.isfinite(tol):
-        raise ConfigurationError(f"MOQA_DEGENERACY_TOL={raw!r} is not finite")
-    if tol < 0:
-        raise ConfigurationError("MOQA_DEGENERACY_TOL must be nonnegative")
-    return tol
 
 
 def _parse_weights(text: str) -> Linearization:
@@ -182,7 +162,7 @@ def build_parser() -> _Parser:
     _add_instance_args(p)
     _add_lambda_arg(p)
     _add_weight_arg(p)
-    p.add_argument("--degeneracy-tol", type=float, default=None)
+    p.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_TOL)
     p.add_argument("--collision-scope", choices=["adjacent", "all"],
                    default="adjacent")
     p.add_argument("--output")
@@ -200,7 +180,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--histogram", default="histogram.csv",
                    help="where to write counts when --shots > 0")
-    p.add_argument("--degeneracy-tol", type=float, default=None)
+    p.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_evolve)
 
@@ -305,10 +285,9 @@ def _cmd_resolve(args) -> int:
         for msg in report.messages:
             sys.stderr.write(f"  {msg}\n")
         return EXIT_VALIDATION
-    tol = args.degeneracy_tol if args.degeneracy_tol is not None else _env_degeneracy_tol()
 
     def payload_for(w, path_for):
-        cert = resolve(inst, w, tie_tol=tol)
+        cert = resolve(inst, w, tie_tol=args.degeneracy_tol)
         return {
             **_header(inst),
             "certificate": asdict(cert),
@@ -326,11 +305,11 @@ def _cmd_evolve(args) -> int:
         raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     inst = _load_instance(args)
     h0 = build_initial(inst.n, scale=args.initial_scale)
-    tol = args.degeneracy_tol if args.degeneracy_tol is not None else _env_degeneracy_tol()
 
     def payload_for(w, path_for):
         hw = build_final(inst, w)
-        result = evolve(h0, hw, args.total_time, steps=args.steps, tie_tol=tol)
+        result = evolve(h0, hw, args.total_time, steps=args.steps,
+                        tie_tol=args.degeneracy_tol)
         hist_path = None
         if args.shots > 0:
             counts = measure(result.final_state, args.shots, seed=args.seed)

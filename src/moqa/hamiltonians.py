@@ -170,7 +170,7 @@ class HermitianOperator:
         mat = np.asarray(self.entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise DimensionMismatchError("operator must be square with dim >= 2")
-        scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+        scale = max(1.0, float(np.max(np.abs(mat))))
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if dev > HERMITICITY_TOL * scale:
             raise HermiticityError(

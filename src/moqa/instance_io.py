@@ -68,7 +68,6 @@ def read_instance(csv_path) -> McoInstance:
                 f"{csv_path}: header must be x,f1,...,fd with d >= 2; got {header}"
             )
         rows: list[list[float]] = []
-        seen: set[int] = set()
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
@@ -82,7 +81,7 @@ def read_instance(csv_path) -> McoInstance:
             except ValueError as exc:
                 raise InstanceFormatError(f"{csv_path}:{lineno}: {exc}") from None
             if x != len(rows):
-                if x in seen:
+                if 0 <= x < len(rows):
                     raise InstanceFormatError(
                         f"{csv_path}:{lineno}: duplicate index {x}"
                     )
@@ -94,7 +93,6 @@ def read_instance(csv_path) -> McoInstance:
                 raise InstanceFormatError(
                     f"{csv_path}:{lineno}: negative objective value"
                 )
-            seen.add(x)
             rows.append(vals)
     if not rows:
         raise InstanceFormatError(f"{csv_path}: no data rows")

@@ -295,39 +295,31 @@ def _supported_by_lp(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ..
 
 
 def _supported_by_hull(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ...]:
-    pts = np.unique(inst.values[list(front)], axis=0)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    vals = inst.values[list(front)]
+    # np.unique sorts the distinct rows by f1, then f2.
     chain: list[np.ndarray] = []
-    for p in pts:
+    for p in np.unique(vals, axis=0):
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
             chain.pop()
         chain.append(p)
-    supported = []
-    for x in front:
-        if _on_chain(inst.values[x], chain):
-            supported.append(x)
-    return tuple(supported)
+    hull = np.array(chain)
+    # Distinct front rows have strictly increasing f1 and strictly decreasing
+    # f2.  So with k the last vertex whose f1 does not exceed a row's, the row
+    # either equals vertex k (its cross product is exactly 0) or lies inside
+    # the bounding box of edge [k, k+1] and of no other edge.
+    k = np.searchsorted(hull[:, 0], vals[:, 0], side="right") - 1
+    a = hull[k]
+    b = hull[np.minimum(k + 1, len(hull) - 1)]
+    span = np.maximum(np.abs(b - a).max(axis=1), 1.0)
+    reach = np.maximum(np.abs(vals - a).max(axis=1), 1.0)
+    on_chain = np.abs(_cross(a, b, vals)) <= HULL_COLLINEAR_TOL * span * reach
+    return tuple(np.asarray(front)[on_chain].tolist())
 
 
-def _cross(o, a, b) -> float:
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
-
-
-def _on_chain(v: np.ndarray, chain: list[np.ndarray]) -> bool:
-    for q in chain:
-        if v[0] == q[0] and v[1] == q[1]:
-            return True
-    for a, b in zip(chain, chain[1:]):
-        lo0, hi0 = min(a[0], b[0]), max(a[0], b[0])
-        lo1, hi1 = min(a[1], b[1]), max(a[1], b[1])
-        if not (lo0 <= v[0] <= hi0 and lo1 <= v[1] <= hi1):
-            continue
-        span = max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1.0)
-        reach = max(abs(v[0] - a[0]), abs(v[1] - a[1]), 1.0)
-        if abs(_cross(a, b, v)) <= HULL_COLLINEAR_TOL * span * reach:
-            return True
-    return False
+def _cross(o, a, b):
+    # z-component of (a - o) x (b - o); rows of 2-vectors broadcast.
+    return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
 
 
 @dataclass(frozen=True)

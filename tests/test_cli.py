@@ -72,6 +72,19 @@ def d3_csv(tmp_path):
 
 
 @pytest.fixture
+def collinear_csv(tmp_path):
+    """Rows 1-3 lie inside the hull edge from row 0 to row 4, row 6 repeats
+    row 1, row 5 is a knee above the hull and row 7 is dominated."""
+    inst = McoInstance(
+        np.array([[0.0, 4.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0], [4.0, 0.0],
+                  [1.5, 2.9], [1.0, 3.0], [5.0, 5.0]])
+    )
+    path = tmp_path / "collinear.csv"
+    write_instance(inst, path)
+    return str(path)
+
+
+@pytest.fixture
 def twin_csv(tmp_path):
     """Rows 1 and 3 are identical vectors; they are not neighbors, so the
     adjacent-scope validation still passes."""
@@ -215,19 +228,20 @@ def test_front_partitions_front(tmp_path, tie_csv):
 # exact output
 
 
-# golden file stem -> command line; TIE and D3 stand for the tie_csv and
-# d3_csv fixtures' paths
+# golden file stem -> command line; TIE, D3 and COLLINEAR stand for the
+# tie_csv, d3_csv and collinear_csv fixtures' paths
 GOLDEN_RUNS = {
     "validate_builtin": ["validate", "--builtin"],
     "front_builtin": ["front", "--builtin"],
     "front_d3": ["front", "D3"],
+    "front_collinear": ["front", "COLLINEAR"],
     "resolve_tie": ["resolve", "TIE", "--w", "0.5"],
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_output_bytes_match_golden(capsys, tie_csv, d3_csv, name):
-    paths = {"TIE": tie_csv, "D3": d3_csv}
+def test_output_bytes_match_golden(capsys, tie_csv, d3_csv, collinear_csv, name):
+    paths = {"TIE": tie_csv, "D3": d3_csv, "COLLINEAR": collinear_csv}
     code = main([paths.get(a, a) for a in GOLDEN_RUNS[name]])
     assert code == EXIT_OK
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
@@ -461,34 +475,26 @@ def test_resolve_radius_too_small_is_numerical(tmp_path, tie_csv):
     assert code == EXIT_NUMERICAL
 
 
-def test_env_tolerance_override_bad_value(tmp_path, tie_csv, monkeypatch):
-    monkeypatch.setenv("MOQA_DEGENERACY_TOL", "not-a-number")
-    code = main(["resolve", tie_csv, "--w", "0.5"])
-    assert code == EXIT_IO
-
-
-def test_env_tolerance_override_numeric(tmp_path, tie_csv, monkeypatch):
-    monkeypatch.setenv("MOQA_DEGENERACY_TOL", "1e-6")
-    code, payload = run_json(tmp_path, "resolve", tie_csv, "--w", "0.5")
-    assert code == EXIT_OK
+def test_tolerance_environment_variable_is_ignored(capsys, tie_csv, monkeypatch):
+    # The tie tolerance is set by --degeneracy-tol only.
+    assert main(["resolve", tie_csv, "--w", "0.5"]) == EXIT_OK
+    plain = capsys.readouterr()
+    monkeypatch.setenv("MOQA_DEGENERACY_TOL", "nan")
+    assert main(["resolve", tie_csv, "--w", "0.5"]) == EXIT_OK
+    assert capsys.readouterr() == plain
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("source", ["env", "flag"])
 @pytest.mark.parametrize(
     "command",
     [["resolve", "--w", "0.5"], ["evolve", "--w", "0.25", "--T", "5", "--steps", "4"]],
-    ids=["resolve", "evolve"],
+    ids=["resolve-flag", "evolve-flag"],
 )
-def test_non_finite_tolerance_rejected(tmp_path, tie_csv, monkeypatch, command,
-                                       source, value):
-    argv = [command[0], tie_csv, *command[1:], "--output", str(tmp_path / "o.json")]
-    if source == "env":
-        monkeypatch.setenv("MOQA_DEGENERACY_TOL", value)
-    else:
-        argv += ["--degeneracy-tol", value]
-    assert main(argv) == EXIT_IO
-    assert not (tmp_path / "o.json").exists()
+def test_non_finite_tolerance_rejected(tmp_path, tie_csv, command, value):
+    out = tmp_path / "o.json"
+    argv = [command[0], tie_csv, *command[1:], "--degeneracy-tol", value]
+    assert main([*argv, "--output", str(out)]) == EXIT_IO
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

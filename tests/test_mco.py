@@ -93,6 +93,44 @@ def oracle_supported(values, front, x, margin=1e-9):
     return res.status == 0 and -res.fun > margin
 
 
+def _scan_cross(o, a, b) -> float:
+    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def _scan_on_chain(v, chain) -> bool:
+    for q in chain:
+        if v[0] == q[0] and v[1] == q[1]:
+            return True
+    for a, b in zip(chain, chain[1:]):
+        lo0, hi0 = min(a[0], b[0]), max(a[0], b[0])
+        lo1, hi1 = min(a[1], b[1]), max(a[1], b[1])
+        if not (lo0 <= v[0] <= hi0 and lo1 <= v[1] <= hi1):
+            continue
+        span = max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1.0)
+        reach = max(abs(v[0] - a[0]), abs(v[1] - a[1]), 1.0)
+        if abs(_scan_cross(a, b, v)) <= 1e-12 * span * reach:
+            return True
+    return False
+
+
+def oracle_hull_supported(values, front) -> tuple[int, ...]:
+    """d = 2 supported indices by scanning every hull vertex and edge.
+
+    Builds the lower-left chain with Andrew's monotone chain, then tests
+    each front point against every vertex and against every edge whose
+    bounding box holds it, with the relative collinearity rule
+    |cross| <= 1e-12 * span * reach.
+    """
+    pts = np.unique(values[list(front)], axis=0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    chain = []
+    for p in pts:
+        while len(chain) >= 2 and _scan_cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return tuple(x for x in front if _scan_on_chain(values[x], chain))
+
+
 # ---------------------------------------------------------------------------
 # instance container
 
@@ -297,6 +335,41 @@ def test_supported_matches_lp_oracle_two_objectives(rng):
             assert (x in sc.supported) == expected, (x, sorted(front))
 
 
+def _hull_tables(rng, n):
+    """Seeded d = 2 tables with 2^n rows that stress the hull membership."""
+    size = 1 << n
+    # integer points on a convex staircase made of two collinear runs, with
+    # duplicates, and some rows lifted off it
+    f1 = rng.integers(0, 6, size=size)
+    lift = rng.integers(0, 3, size=size) * (rng.random(size) < 0.3)
+    grid = np.c_[f1, np.array([9, 6, 3, 2, 1, 0])[f1] + lift].astype(float)
+    # integer points on f1 + f2 = 6, with duplicates, plus rows above it
+    f1 = rng.integers(0, 7, size=size).astype(float)
+    line = np.c_[f1, 6.0 - f1] + rng.integers(0, 2, size=(size, 1))
+    # points on a line, each coordinate moved by about 1e-13 relative
+    t = rng.uniform(0.0, 1.0, size=size)
+    jitter = 1.0 + 1e-13 * rng.standard_normal((size, 2))
+    perturbed = np.c_[3.0 * t, 3.0 - 3.0 * t] * jitter
+    large = rng.uniform(0.0, 1e6, size=(size, 2))
+    large_grid = 1e5 * grid
+    # a single distinct front row: one shared row, or one row below all
+    shared = np.tile(rng.uniform(0.0, 10.0, size=2), (size, 1))
+    below = rng.uniform(1.0, 10.0, size=(size, 2))
+    below[rng.integers(size)] = 0.0
+    return [grid, line, perturbed, large, large_grid, shared, below]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_supported_hull_matches_per_edge_scan(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(12):
+        for values in _hull_tables(rng, n):
+            inst = make_instance(values)
+            sc = supported_solutions(inst)
+            assert sc.method == "hull"
+            assert sc.supported == oracle_hull_supported(inst.values, sc.pareto)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_supported_matches_lp_oracle_more_objectives(rng, d):
     for _ in range(8):
@@ -426,15 +499,16 @@ def test_read_rejects_bad_header(tmp_path):
 
 def test_read_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("x,f1,f2\n1,1.0,2.0\n0,2.0,1.0\n")
-    with pytest.raises(InstanceFormatError):
-        read_instance(path)
+    for body in ("1,1.0,2.0\n0,2.0,1.0\n", "0,1.0,2.0\n-1,2.0,1.0\n"):
+        path.write_text("x,f1,f2\n" + body)
+        with pytest.raises(InstanceFormatError, match="out of order"):
+            read_instance(path)
 
 
 def test_read_rejects_duplicate_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,f1,f2\n0,1.0,2.0\n0,2.0,1.0\n")
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError, match="duplicate index"):
         read_instance(path)
 
 
