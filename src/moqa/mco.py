@@ -24,6 +24,9 @@ WEIGHT_SUM_TOL = 1e-12
 #: Relative tolerance used when testing whether an objective vector lies on
 #: a hull edge during the supported-solution classification.
 HULL_COLLINEAR_TOL = 1e-12
+# Sorted rows filtered per step of the d >= 3 front; the comparison
+# temporaries hold _FRONT_BLOCK x (front so far + block) x d booleans.
+_FRONT_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +150,54 @@ def pareto_front(inst: McoInstance) -> tuple[int, ...]:
     its row with at least one strict improvement.  Rows that are exactly
     equal do not exclude each other, so duplicated minimal rows all appear.
 
+    With two objectives this is the sort-and-sweep maxima algorithm of Kung,
+    Luccio and Preparata (1975), O(N log N) for N = 2^n rows: after sorting
+    by (f1, f2), a row is on the front when its f2 is the smallest in its
+    equal-f1 group and strictly below every f2 of a smaller f1.
+
+    With three or more objectives the rows are sorted by their sum, ties
+    broken lexicographically on (f1, ..., fd).  Floating-point addition
+    rounds monotonically, so a dominating row never has a larger sum, and
+    on an equal sum it is lexicographically smaller: every dominator sorts
+    strictly first.  Blocks of the sorted rows are then filtered against
+    the front found so far plus the block itself, O(N log N + N F d) for a
+    front of F rows.
+
     Returns:
         Sorted tuple of domain indices.
     """
     vals = inst.values
-    keep = []
-    for x in range(inst.size):
-        row = vals[x]
-        dominated = bool(
-            np.any(np.all(vals <= row, axis=1) & np.any(vals < row, axis=1))
-        )
-        if not dominated:
-            keep.append(x)
-    return tuple(keep)
+    if inst.d == 2:
+        f1, f2 = vals.T
+        order = np.lexsort((f2, f1))
+        s1, s2 = f1[order], f2[order]
+        new_f1 = np.r_[True, s1[1:] != s1[:-1]]
+        group = np.cumsum(new_f1) - 1
+        group_min = s2[new_f1]
+        before = np.r_[np.inf, np.minimum.accumulate(group_min)[:-1]]
+        keep = (group_min < before)[group] & (s2 == group_min[group])
+        return tuple(np.sort(order[keep]).tolist())
+
+    with np.errstate(over="ignore"):  # an overflowed sum still orders correctly
+        sums = vals.sum(axis=1)
+    order = np.lexsort((*vals.T[::-1], sums))
+    rows = vals[order]
+    front = np.empty_like(rows)
+    keep = np.zeros(inst.size, dtype=bool)
+    m = 0
+    for lo in range(0, inst.size, _FRONT_BLOCK):
+        block = rows[lo:lo + _FRONT_BLOCK]
+        # A dominated row is dominated by some front row, so the candidates
+        # are the front found so far plus the block's own rows.
+        front[m:m + len(block)] = block
+        cand = front[None, :m + len(block)]
+        dominated = ((cand <= block[:, None]).all(axis=2)
+                     & (cand < block[:, None]).any(axis=2)).any(axis=1)
+        keep[lo:lo + len(block)] = ~dominated
+        survivors = block[~dominated]
+        front[m:m + len(survivors)] = survivors
+        m += len(survivors)
+    return tuple(np.sort(order[keep]).tolist())
 
 
 def trivial_solutions(inst: McoInstance) -> tuple[int, ...]:

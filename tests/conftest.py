@@ -19,6 +19,28 @@ def random_instance(rng: np.random.Generator, n: int, d: int) -> McoInstance:
     return McoInstance(values)
 
 
+def oracle_dominates(u, v) -> bool:
+    """u strictly dominates v: componentwise <= with at least one <."""
+    le = all(a <= b for a, b in zip(u, v))
+    lt = any(a < b for a, b in zip(u, v))
+    return le and lt
+
+
+def oracle_front(values) -> set[int]:
+    """Brute-force double loop Pareto front."""
+    size = len(values)
+    front = set()
+    for x in range(size):
+        dominated = False
+        for y in range(size):
+            if y != x and oracle_dominates(values[y], values[x]):
+                dominated = True
+                break
+        if not dominated:
+            front.add(x)
+    return front
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

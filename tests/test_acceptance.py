@@ -2,7 +2,8 @@
 
 Seven end-to-end checks the package must satisfy, each emitting one
 PASS/FAIL line.  Random draws are seeded, oracles are brute-force loops
-written here, and stated tolerances and time budgets are asserted.
+written here or in conftest.py, and stated tolerances and time budgets are
+asserted.
 """
 
 import sys
@@ -36,31 +37,14 @@ from moqa import (
 )
 from moqa import HermitianOperator, McoInstance
 
+from conftest import oracle_front
+
 
 def announce(criterion: int, name: str, ok: bool, elapsed: float | None = None) -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = "" if elapsed is None else f" ({elapsed:.2f} s)"
     print(f"ACCEPTANCE {criterion} {name}: {verdict}{suffix}")
     sys.stdout.flush()
-
-
-def oracle_front(values) -> set[int]:
-    """Independent double-loop Pareto front."""
-    size = len(values)
-    members = set()
-    for x in range(size):
-        dominated = False
-        for y in range(size):
-            if y == x:
-                continue
-            le = all(a <= b for a, b in zip(values[y], values[x]))
-            lt = any(a < b for a, b in zip(values[y], values[x]))
-            if le and lt:
-                dominated = True
-                break
-        if not dominated:
-            members.add(x)
-    return members
 
 
 # ---------------------------------------------------------------------------

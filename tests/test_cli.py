@@ -85,6 +85,19 @@ def collinear_csv(tmp_path):
 
 
 @pytest.fixture
+def d3_ties_csv(tmp_path):
+    """Rows 0 and 7 and rows 3 and 5 are duplicated front rows; rows 0, 1,
+    2, 6 and 7 share the sum 6 with row 4, which row 3 dominates."""
+    inst = McoInstance(
+        np.array([[0.0, 2.0, 4.0], [4.0, 2.0, 0.0], [2.0, 0.0, 4.0], [1.0, 1.0, 1.0],
+                  [2.0, 2.0, 2.0], [1.0, 1.0, 1.0], [3.0, 3.0, 0.0], [0.0, 2.0, 4.0]])
+    )
+    path = tmp_path / "d3_ties.csv"
+    write_instance(inst, path)
+    return str(path)
+
+
+@pytest.fixture
 def twin_csv(tmp_path):
     """Rows 1 and 3 are identical vectors; they are not neighbors, so the
     adjacent-scope validation still passes."""
@@ -228,20 +241,23 @@ def test_front_partitions_front(tmp_path, tie_csv):
 # exact output
 
 
-# golden file stem -> command line; TIE, D3 and COLLINEAR stand for the
-# tie_csv, d3_csv and collinear_csv fixtures' paths
+# golden file stem -> command line; TIE, D3, D3TIES and COLLINEAR stand for
+# the tie_csv, d3_csv, d3_ties_csv and collinear_csv fixtures' paths
 GOLDEN_RUNS = {
     "validate_builtin": ["validate", "--builtin"],
     "front_builtin": ["front", "--builtin"],
     "front_d3": ["front", "D3"],
+    "front_d3_ties": ["front", "D3TIES"],
     "front_collinear": ["front", "COLLINEAR"],
     "resolve_tie": ["resolve", "TIE", "--w", "0.5"],
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_output_bytes_match_golden(capsys, tie_csv, d3_csv, collinear_csv, name):
-    paths = {"TIE": tie_csv, "D3": d3_csv, "COLLINEAR": collinear_csv}
+def test_output_bytes_match_golden(capsys, tie_csv, d3_csv, d3_ties_csv, collinear_csv,
+                                   name):
+    paths = {"TIE": tie_csv, "D3": d3_csv, "D3TIES": d3_ties_csv,
+             "COLLINEAR": collinear_csv}
     code = main([paths.get(a, a) for a in GOLDEN_RUNS[name]])
     assert code == EXIT_OK
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()

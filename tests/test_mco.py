@@ -29,33 +29,11 @@ from moqa import (
     write_instance,
 )
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, oracle_front, random_instance
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
-
-
-def oracle_dominates(u, v) -> bool:
-    """u strictly dominates v: componentwise <= with at least one <."""
-    le = all(a <= b for a, b in zip(u, v))
-    lt = any(a < b for a, b in zip(u, v))
-    return le and lt
-
-
-def oracle_front(values) -> set[int]:
-    """Brute-force double loop Pareto front."""
-    size = len(values)
-    front = set()
-    for x in range(size):
-        dominated = False
-        for y in range(size):
-            if y != x and oracle_dominates(values[y], values[x]):
-                dominated = True
-                break
-        if not dominated:
-            front.add(x)
-    return front
 
 
 def oracle_supported(values, front, x, margin=1e-9):
@@ -210,6 +188,44 @@ def test_front_matches_bruteforce_on_random_instances(rng):
         d = int(rng.integers(2, 5))
         inst = random_instance(rng, n, d)
         assert set(pareto_front(inst)) == oracle_front(inst.values.tolist())
+
+
+def _tie_tables(rng, n, d):
+    """Seeded tables with 2^n rows and d objectives, full of exact ties."""
+    size = 1 << n
+    # small integers: many equal f1 values, equal sums and duplicated rows
+    small = rng.integers(0, 3, size=(size, d)).astype(float)
+    # one minimal-sum row repeated on several rows
+    repeated = rng.integers(0, 5, size=(size, d)).astype(float)
+    best = repeated[np.argmin(repeated.sum(axis=1))].copy()
+    repeated[rng.random(size) < 0.25] = best
+    # a duplicated row copied onto row 0
+    copied = rng.integers(0, 4, size=(size, d)).astype(float)
+    copied[0] = copied[rng.integers(size)]
+    # the same patterns at large magnitudes
+    scaled = rng.integers(0, 4, size=(size, d)) * 10.0 ** rng.integers(0, 301)
+    huge = rng.uniform(0.0, 1e300, size=(size, d))
+    huge[0] = huge[rng.integers(size)]
+    return [small, repeated, copied, scaled, huge]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_front_matches_bruteforce_on_tie_heavy_tables(n):
+    rng = np.random.default_rng(2000 + n)
+    for d in (2, 3, 4):
+        for _ in range(2):
+            for values in _tie_tables(rng, n, d):
+                inst = make_instance(values)
+                expected = tuple(sorted(oracle_front(inst.values.tolist())))
+                assert pareto_front(inst) == expected, values
+
+
+def test_front_float_sum_tie():
+    # Rows 0, 1 and 2 all sum to exactly 1e20 in floating point and row 1
+    # dominates row 0: filtering only against strictly smaller sums, or
+    # ordering by sum alone and comparing with earlier rows only, keeps row 0.
+    inst = make_instance([[1e20, 1, 0], [1e20, 0, 0], [0, 0, 1e20], [5, 5, 5e20]])
+    assert pareto_front(inst) == (1, 2)
 
 
 def test_front_sorted_tuple(rng):
