@@ -49,6 +49,10 @@ class DegenerateGapError(MoqaError):
     """A computation requires a nondegenerate minimum but found a tie."""
 
 
+class NumericalRangeError(MoqaError):
+    """A result lies outside the range of float64."""
+
+
 class UnresolvableDegeneracyError(MoqaError):
     """Tied minimizers have identical objective rows; no reweighting splits them."""
 

@@ -224,8 +224,11 @@ def commutes(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> CommutatorCheck
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     if h0.is_default:
         # Shifting by one entry leaves std unchanged and makes it exactly 0
-        # on a constant diagonal.
-        norm = h0.scale * float(np.std(hw.diagonal - hw.diagonal[0]))
+        # on a constant diagonal.  Dividing by the power of two at the
+        # largest deviation is exact and keeps the squares in range.
+        dev = hw.diagonal - hw.diagonal[0]
+        unit = 2.0 ** int(np.frexp(np.abs(dev).max())[1])
+        norm = h0.scale * (unit * float(np.std(dev / unit)))
     else:
         a = h0.dense()
         comm = a * hw.diagonal[None, :] - hw.diagonal[:, None] * a

@@ -258,10 +258,10 @@ def _max_margin_weighting(d: int, ub_rows: np.ndarray) -> Linearization | None:
     if t <= 1e-12:
         return None
     w = np.clip(res.x[:d], 0.0, None)
-    w = w / w.sum()
-    if np.any(w >= 1.0):
+    try:
+        return Linearization(w / w.sum())
+    except InvalidLinearizationError:
         return None
-    return Linearization(w)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ and belongs to the original tied set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .errors import (
     ResolutionFailureError,
     UnresolvableDegeneracyError,
 )
-from .hamiltonians import build_final
+from .hamiltonians import DiagonalHamiltonian, build_final
 from .mco import Linearization, McoInstance, equivalent, scalarize
 from .spectral import DEGENERACY_TOL, degeneracy_check
 
@@ -86,9 +88,11 @@ def resolve(
 
     The search enumerates ordered coordinate pairs (i, j) in lexicographic
     order and, for each, perturbations w + eps * (e_i - e_j) with eps
-    halving from radius/2 downward.  The first candidate whose weighted-sum
-    minimum is unique and attained inside the original tied set wins, which
-    makes the outcome deterministic.
+    halving from radius/2 downward.  Every candidate must be accepted by
+    Linearization, the one admissibility rule for weights, and is then
+    scored by degeneracy_check, the one tie rule, at tie_tol.  The first
+    candidate whose minimum is unique, lies inside the original tied set
+    and is within radius of w wins, which makes the outcome deterministic.
 
     Returns:
         ResolutionCertificate; for a nondegenerate input the certificate
@@ -103,81 +107,49 @@ def resolve(
     radius = l1_radius(inst, w)
     report = degeneracy_check(build_final(inst, w), tie_tol)
     tied = report.witnesses
+    certificate = partial(
+        ResolutionCertificate,
+        original_weights=w.as_tuple(),
+        radius=radius,
+        tied_indices=tied,
+        m_value=float(inst.values.max()),
+    )
     if report.multiplicity == 1:
-        return ResolutionCertificate(
-            original_weights=w.as_tuple(),
-            resolved_weights=w.as_tuple(),
-            l1_distance=0.0,
-            radius=radius,
-            chosen_index=tied[0],
-            tied_indices=tied,
-            m_value=float(inst.values.max()),
+        return certificate(
+            resolved_weights=w.as_tuple(), l1_distance=0.0, chosen_index=tied[0]
         )
 
-    for a in range(len(tied)):
-        for b in range(a + 1, len(tied)):
-            if equivalent(inst, tied[a], tied[b]):
-                raise UnresolvableDegeneracyError(
-                    f"indices {tied[a]} and {tied[b]} have identical objective "
-                    "rows; every weighting scores them equally"
-                )
+    for a, b in combinations(tied, 2):
+        if equivalent(inst, a, b):
+            raise UnresolvableDegeneracyError(
+                f"indices {a} and {b} have identical objective "
+                "rows; every weighting scores them equally"
+            )
 
-    tied_set = set(tied)
+    halvings = [radius / 2.0]
+    while len(halvings) < MAX_HALVINGS:
+        halvings.append(halvings[-1] / 2.0)
     tried: list[tuple[int, int, float]] = []
-    for i in range(inst.d):
-        for j in range(inst.d):
-            if i == j:
+    for i, j in permutations(range(inst.d), 2):
+        for eps in halvings:
+            candidate = w.weights.copy()
+            candidate[i] += eps
+            candidate[j] -= eps
+            try:
+                lin = Linearization(candidate)
+            except InvalidLinearizationError:
                 continue
-            eps = radius / 2.0
-            for _ in range(MAX_HALVINGS):
-                candidate = _shift(w.weights, i, j, eps)
-                if candidate is not None:
-                    tried.append((i, j, eps))
-                    cert = _check_candidate(
-                        inst, w, candidate, eps, radius, tied, tied_set, tie_tol
-                    )
-                    if cert is not None:
-                        return cert
-                eps /= 2.0
+            tried.append((i, j, eps))
+            scal = scalarize(inst, lin)
+            found = degeneracy_check(DiagonalHamiltonian(scal), tie_tol).witnesses
+            distance = float(np.abs(lin.weights - w.weights).sum())
+            if len(found) == 1 and found[0] in tied and distance <= radius:
+                return certificate(
+                    resolved_weights=lin.as_tuple(),
+                    l1_distance=distance,
+                    chosen_index=found[0],
+                )
     raise ResolutionFailureError(
         f"no candidate split the tie {tied} within radius {radius!r}",
         tried=tuple(tried),
-    )
-
-
-def _shift(weights: np.ndarray, i: int, j: int, eps: float) -> np.ndarray | None:
-    cand = weights.copy()
-    cand[i] += eps
-    cand[j] -= eps
-    if cand[j] < 0.0 or cand[i] >= 1.0:
-        return None
-    return cand
-
-
-def _check_candidate(
-    inst, w, candidate, eps, radius, tied, tied_set, tie_tol
-) -> ResolutionCertificate | None:
-    try:
-        lin = Linearization(candidate)
-    except InvalidLinearizationError:
-        return None
-    scal = scalarize(inst, lin)
-    min_val = float(scal.min())
-    winners = np.nonzero(scal <= min_val + tie_tol)[0]
-    if winners.size != 1:
-        return None
-    chosen = int(winners[0])
-    if chosen not in tied_set:
-        return None
-    distance = float(np.abs(candidate - w.weights).sum())
-    if distance > radius:
-        return None
-    return ResolutionCertificate(
-        original_weights=w.as_tuple(),
-        resolved_weights=lin.as_tuple(),
-        l1_distance=distance,
-        radius=radius,
-        chosen_index=chosen,
-        tied_indices=tied,
-        m_value=float(inst.values.max()),
     )

@@ -14,6 +14,7 @@ bisects without forming a matrix.  Other drivers take the dense path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     ConfigurationError,
     DegenerateGapError,
     DimensionMismatchError,
+    NumericalRangeError,
 )
 from .hamiltonians import (
     DiagonalHamiltonian,
@@ -316,6 +318,7 @@ def runtime_estimate(
 
     Raises:
         DegenerateGapError: When g_min (or gap_floor) is not positive.
+        NumericalRangeError: When an estimate does not fit in float64.
     """
     if g_min <= 0.0:
         raise DegenerateGapError(f"minimum gap must be positive, got {g_min}")
@@ -326,8 +329,16 @@ def runtime_estimate(
         raise DegenerateGapError(f"gap floor must be positive, got {floor}")
     if dmax < 0.0:
         raise ConfigurationError("delta_max must be nonnegative")
-    t_heuristic = dmax / (g_min * g_min)
-    t_rigorous = 1e5 * (1.0 / delta) ** 2 * (dmax**3 / floor**4)
+    try:
+        t_heuristic = dmax / (g_min * g_min)
+        t_rigorous = 1e5 * (1.0 / delta) ** 2 * (dmax**3 / floor**4)
+    except (OverflowError, ZeroDivisionError):  # a power left float range
+        t_heuristic = t_rigorous = math.inf
+    if not (math.isfinite(t_heuristic) and math.isfinite(t_rigorous)):
+        raise NumericalRangeError(
+            f"runtime estimates for g_min {g_min!r}, gap floor {floor!r} and "
+            f"delta_max {dmax!r} do not fit in float64"
+        )
     return RuntimeEstimate(
         g_min=float(g_min),
         delta_max=float(dmax),
@@ -409,7 +420,7 @@ def end_gap_diagnostics(
     second = float(scal[order[1]])
     end_gap = second - lowest
     weighted_sep = float(inst.lam @ w.weights)
-    tied = tuple(int(x) for x in np.nonzero(scal <= lowest + DEGENERACY_TOL)[0])
+    tied = degeneracy_check(DiagonalHamiltonian(scal)).witnesses
     minimizer = int(order[0])
     trivial = minimizer in set(trivial_solutions(inst))
     min_exceeds = None if trivial else bool(lowest > weighted_sep)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GenerationError
-from .mco import McoInstance
+from .mco import McoInstance, validate
 
 # Bundled 7-bit instance: 128 rows of (f1, f2), row k holding the values
 # published for label k + 1.  Domain index = label - 1 (label_offset = 1).
@@ -156,18 +156,14 @@ def _branch_values(size, vertex, curv_left, curv_right, jitter, rng):
     return vals
 
 
-def _all_pairs_separated(col: np.ndarray, lam_i: float) -> bool:
-    return bool(np.all(np.diff(np.sort(col)) > lam_i))
-
-
 def generate(params: TwoParabolasParams) -> McoInstance:
     """Build a fresh instance from seeded, jittered quadratic branches.
 
     The step from index k to its neighbor toward a vertex grows linearly
-    with distance, so each objective is a jittered discrete parabola.  A
-    post-check requires every pair of values within an objective to differ
-    by more than the target separation (all-pairs); on failure the jitter
-    is redrawn up to MAX_RETRIES times.
+    with distance, so each objective is a jittered discrete parabola.  The
+    post-check is validate(..., collision_scope="all"): every pair of values
+    within an objective must differ by more than the target separation; on
+    failure the jitter is redrawn up to MAX_RETRIES times.
 
     Returns:
         McoInstance with lam = params.lam and label_offset = 0.
@@ -180,11 +176,9 @@ def generate(params: TwoParabolasParams) -> McoInstance:
     for _ in range(MAX_RETRIES):
         f1 = _branch_values(size, params.x0, *params.curvature1, params.jitter, rng)
         f2 = _branch_values(size, params.x0p, *params.curvature2, params.jitter, rng)
-        if _all_pairs_separated(f1, params.lam[0]) and _all_pairs_separated(
-            f2, params.lam[1]
-        ):
-            values = np.column_stack([f1, f2])
-            return McoInstance(values, lam=np.asarray(params.lam))
+        inst = McoInstance(np.column_stack([f1, f2]), lam=np.asarray(params.lam))
+        if validate(inst, collision_scope="all").collision_free:
+            return inst
     raise GenerationError(
         f"no jitter draw in {MAX_RETRIES} tries gave all-pairs "
         f"separations above {params.lam}"

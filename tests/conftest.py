@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from moqa import McoInstance
 
@@ -39,6 +40,28 @@ def oracle_front(values) -> set[int]:
         if not dominated:
             front.add(x)
     return front
+
+
+def dense_driver(dim, scale, h_values=None):
+    """scale * W diag(h) W for the orthonormal Hadamard matrix W.
+
+    Built from scipy's Hadamard matrix, so it checks the package's driver
+    instead of reusing it.  h defaults to the penalties (0, 1, ..., 1).
+    """
+    h = np.r_[0.0, np.ones(dim - 1)] if h_values is None else np.asarray(h_values)
+    walsh = scipy.linalg.hadamard(dim) / np.sqrt(dim)
+    return scale * (walsh * h) @ walsh
+
+
+def dense_oracle(driver, diag, grid):
+    """(lambda0, lambda1, ||H(s)||) per grid point, delta_max, ||[H0, Hw]||."""
+    rows = []
+    for s in grid:
+        vals = np.linalg.eigvalsh((1.0 - s) * driver + s * np.diag(diag))
+        rows.append((vals[0], vals[1], np.max(np.abs(vals))))
+    dmax = np.max(np.abs(np.linalg.eigvalsh(np.diag(diag) - driver)))
+    comm = driver * diag[None, :] - diag[:, None] * driver
+    return np.array(rows), dmax, np.linalg.norm(comm, 2)
 
 
 @pytest.fixture

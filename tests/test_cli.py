@@ -432,6 +432,25 @@ def test_gap_scan_degenerate_end_is_numerical_failure(tmp_path, twin_csv):
     assert code == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("rows, code", [
+    ([(0.0, 0.0), (1e-60, 1e-60), (5.0, 5.0), (6.0, 6.0)], EXIT_OK),
+    ([(0.0, 0.0), (1e-76, 1e-76), (5.0, 5.0), (6.0, 6.0)], EXIT_NUMERICAL),
+    ([(0.0, 0.0), (1e-90, 1e-90), (5.0, 5.0), (6.0, 6.0)], EXIT_NUMERICAL),
+    ([(k * 1e200, k * 1e200) for k in range(8)], EXIT_NUMERICAL),
+], ids=["finite", "infinite", "underflow", "overflow"])
+def test_gap_scan_estimates_outside_float_range(tmp_path, capsys, rows, code):
+    table = tmp_path / "t.csv"
+    table.write_text("x,f1,f2\n" + "".join(
+        f"{x},{f1!r},{f2!r}\n" for x, (f1, f2) in enumerate(rows)))
+    assert main(["gap-scan", str(table), "--w", "0.5", "--points", "8",
+                 "--curve", str(tmp_path / "c.csv")]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+    else:
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
 def test_gap_scan_bad_weights_parse(tmp_path):
     # an empty field is an error, not a value to skip: "0.6," is not "0.6"
     for text in ["forty", "0.6,", ",0.6", "0.2,,0.8"]:
@@ -467,6 +486,22 @@ def test_resolve_tie_certificate(tmp_path, tie_csv):
     assert cert["tied_indices"] == [1, 3]
     assert cert["chosen_index"] in (1, 3)
     assert cert["l1_distance"] <= cert["radius"]
+
+
+def test_resolve_degeneracy_tol_widens_the_tie(tmp_path):
+    # rows 0 and 1 score 5.0 and 5.0 + 1e-7 at equal weights
+    table = tmp_path / "near.csv"
+    table.write_text(f"x,f1,f2\n0,0.0,10.0\n1,{10.0 + 2e-7!r},0.0\n"
+                     "2,20.0,20.0\n3,30.0,30.0\n")
+    argv = ["resolve", str(table), "--w", "0.5", "--lambda", "1,1"]
+    code, narrow = run_json(tmp_path, *argv)
+    assert (code, narrow["certificate"]["tied_indices"]) == (EXIT_OK, [0])
+    assert narrow["certificate"]["l1_distance"] == 0.0
+    code, wide = run_json(tmp_path, *argv, "--degeneracy-tol", "1e-6")
+    cert = wide["certificate"]
+    assert (code, cert["tied_indices"]) == (EXIT_OK, [0, 1])
+    assert cert["chosen_index"] in (0, 1)
+    assert 0.0 < cert["l1_distance"] <= cert["radius"]
 
 
 def test_resolve_requires_separation_vector(tmp_path):

@@ -22,7 +22,7 @@ from moqa import (
 from moqa import evolution
 from moqa.evolution import HISTOGRAM_CSV_HEADER
 
-from conftest import make_instance, random_instance
+from conftest import dense_driver, make_instance, random_instance
 
 
 def reference_evolution(h0, hw, total_time, slices):
@@ -30,7 +30,7 @@ def reference_evolution(h0, hw, total_time, slices):
     dim = h0.dim
     psi = np.full(dim, dim**-0.5, dtype=np.complex128)
     dt = total_time / slices
-    a, b = h0.dense(), np.diag(hw.diagonal)
+    a, b = dense_driver(dim, h0.scale), np.diag(hw.diagonal)
     for k in range(slices):
         s = (k + 0.5) / slices
         psi = expm(-1j * dt * ((1.0 - s) * a + s * b)) @ psi

@@ -26,7 +26,7 @@ from moqa import (
 )
 from moqa.hamiltonians import interpolation_dense
 
-from conftest import make_instance, random_instance
+from conftest import dense_driver, make_instance, random_instance
 
 
 def dense_uniform_projector(dim: int) -> np.ndarray:
@@ -252,10 +252,21 @@ def test_commutator_norm_matches_dense_reference(rng):
     h0 = build_initial(2)
     hw = build_final(inst, Linearization.pair(0.4))
     check = commutes(h0, hw)
-    a, b = h0.dense(), np.diag(hw.diagonal)
+    a, b = dense_driver(h0.dim, h0.scale), np.diag(hw.diagonal)
     ref = np.linalg.norm(a @ b - b @ a, 2)
     assert abs(check.norm - ref) <= 1e-10 * max(1.0, ref)
     assert not check.commuting
+
+
+def test_commutator_norm_finite_on_huge_diagonal(rng):
+    # np.std of the raw deviations would square values near 1e200 to inf.
+    diag = np.r_[0.0, 1e200, rng.uniform(0.0, 1e200, 14)]
+    h0 = build_initial(4)
+    a, b = dense_driver(16, h0.scale), np.diag(diag / 1e200)
+    ref = 1e200 * np.linalg.norm(a @ b - b @ a, 2)
+    norm = commutes(h0, DiagonalHamiltonian(diag)).norm
+    assert np.isfinite(norm)
+    assert abs(norm - ref) <= 1e-10 * ref
 
 
 def test_identity_final_commutes():

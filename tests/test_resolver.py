@@ -8,6 +8,8 @@ from moqa import (
     McoInstance,
     ResolutionFailureError,
     UnresolvableDegeneracyError,
+    build_final,
+    degeneracy_check,
     l1_radius,
     pareto_front,
     resolve,
@@ -20,6 +22,11 @@ from conftest import make_instance
 # rows 1 and 3 tie exactly at equal weights; row 0 and row 2 stay above
 TIE_VALUES = [[0.0, 5.0], [1.0, 3.0], [4.2, 0.0], [2.0, 2.0]]
 TIE_LAM = [1.0, 1.0]
+
+
+# at equal weights rows 0 and 1 score 5.0 and 5.0 + 1e-7: tied only under a
+# tolerance wider than 1e-7
+NEAR_TIE_VALUES = [[0.0, 10.0], [10.0 + 2e-7, 0.0], [20.0, 20.0], [30.0, 30.0]]
 
 
 def tie_instance() -> McoInstance:
@@ -61,6 +68,20 @@ def test_resolve_splits_even_tie():
     assert winner == cert.chosen_index
     gaps = np.sort(scal)
     assert gaps[1] - gaps[0] > 1e-9  # strictly unique after the nudge
+
+
+def test_resolve_tie_tol_decides_the_tied_set():
+    inst = make_instance(NEAR_TIE_VALUES, lam=TIE_LAM)
+    w = Linearization.pair(0.5)
+    narrow = resolve(inst, w)
+    assert (narrow.tied_indices, narrow.chosen_index) == ((0,), 0)
+    assert (narrow.resolved_weights, narrow.l1_distance) == (w.as_tuple(), 0.0)
+    cert = resolve(inst, w, tie_tol=1e-6)
+    assert cert.tied_indices == (0, 1)
+    resolved = Linearization(np.array(cert.resolved_weights))
+    report = degeneracy_check(build_final(inst, resolved), 1e-6)
+    assert report.witnesses == (cert.chosen_index,)
+    assert 0.0 < cert.l1_distance <= cert.radius
 
 
 def test_resolve_deterministic():

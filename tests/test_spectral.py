@@ -19,6 +19,7 @@ from moqa import (
     DimensionMismatchError,
     HermitianOperator,
     Linearization,
+    NumericalRangeError,
     build_final,
     build_initial,
     commutes,
@@ -34,7 +35,7 @@ from moqa import (
 from moqa import hamiltonians, spectral
 from moqa.spectral import GAP_CSV_HEADER, RESIDUAL_REL_TOL
 
-from conftest import make_instance, random_instance
+from conftest import dense_driver, dense_oracle, make_instance, random_instance
 
 
 def random_hermitian(rng, dim, complex_entries=True):
@@ -104,7 +105,7 @@ def test_gap_scan_matches_direct_eigensolves(small_pair):
     h0, hw = small_pair
     curve = gap_scan(h0, hw, points=17)
     for k, s in enumerate(curve.s_values):
-        mat = (1.0 - s) * h0.dense() + s * np.diag(hw.diagonal)
+        mat = (1.0 - s) * dense_driver(h0.dim, h0.scale) + s * np.diag(hw.diagonal)
         ref = np.sort(np.linalg.eigvalsh(mat))
         assert abs(curve.lambda0[k] - ref[0]) <= 1e-10
         assert abs(curve.lambda1[k] - ref[1]) <= 1e-10
@@ -197,6 +198,10 @@ def test_runtime_estimate_formulas():
 def test_runtime_estimate_reference_point_exact():
     est = runtime_estimate(1.0, 1.0, delta=0.1, gap_floor=1.0)
     assert est.t_rigorous == 1e7
+    # still the plain formula near the top of the float range
+    est = runtime_estimate(1e-60, 8.0)
+    assert est.t_heuristic == 8.0 / (1e-60 * 1e-60)
+    assert est.t_rigorous == 1e5 * (1.0 / 0.1) ** 2 * (8.0**3 / 1e-60**4)
 
 
 def test_runtime_estimate_floor_defaults_to_gmin():
@@ -209,6 +214,16 @@ def test_runtime_estimate_rejects_nonpositive_gap():
         runtime_estimate(0.0, 1.0)
     with pytest.raises(DegenerateGapError):
         runtime_estimate(0.5, 1.0, gap_floor=0.0)
+
+
+@pytest.mark.parametrize("g_min, dmax", [
+    (1e-76, 8.0),  # t_rigorous is inf
+    (1e-90, 8.0),  # gap_floor**4 underflows to 0
+    (8.0, 7e200),  # delta_max**3 overflows
+], ids=["infinite", "underflow", "overflow"])
+def test_runtime_estimate_outside_float_range(g_min, dmax):
+    with pytest.raises(NumericalRangeError, match="do not fit in float64"):
+        runtime_estimate(g_min, dmax)
 
 
 def test_runtime_estimate_rejects_bad_delta():
@@ -269,25 +284,7 @@ def test_end_gap_diagnostics_with_scan_curve(rng):
 
 
 # ---------------------------------------------------------------------------
-# default-driver fast path against a dense oracle built here
-
-
-def dense_driver(dim, scale, h_values=None):
-    """scale * W diag(h) W for the orthonormal Hadamard matrix W."""
-    h = np.r_[0.0, np.ones(dim - 1)] if h_values is None else np.asarray(h_values)
-    walsh = scipy.linalg.hadamard(dim) / np.sqrt(dim)
-    return scale * (walsh * h) @ walsh
-
-
-def dense_oracle(driver, diag, grid):
-    """(lambda0, lambda1, ||H(s)||) per grid point, delta_max, ||[H0, Hw]||."""
-    rows = []
-    for s in grid:
-        vals = np.linalg.eigvalsh((1.0 - s) * driver + s * np.diag(diag))
-        rows.append((vals[0], vals[1], np.max(np.abs(vals))))
-    dmax = np.max(np.abs(np.linalg.eigvalsh(np.diag(diag) - driver)))
-    comm = driver * diag[None, :] - diag[:, None] * driver
-    return np.array(rows), dmax, np.linalg.norm(comm, 2)
+# default-driver fast path against the dense oracle of conftest
 
 
 @st.composite
