@@ -1,5 +1,9 @@
 """Bundled instance and generator tests."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from moqa import (
     validate,
     verify_two_parabolas,
 )
+from moqa import two_parabolas
 from moqa.two_parabolas import BUILTIN_SHA256, BUILTIN_TABLE, _table_digest
 
 
@@ -208,3 +213,42 @@ def test_shape_check_reports_tampered_row():
     assert not report.ok
     segments = {v[0] for v in report.violations}
     assert "head" in segments
+
+
+# ---------------------------------------------------------------------------
+# generator golden: values pinned bit for bit
+
+FAMILY_GOLDEN = Path(__file__).resolve().parent / "golden" / "generate_family.json"
+
+
+def _family_outcomes():
+    sha, failed = {}, []
+    for n in range(3, 13):
+        size = 1 << n
+        for seed in range(10):
+            params = TwoParabolasParams(n=n, x0=size // 3, x0p=2 * size // 3, seed=seed)
+            try:
+                values = generate(params).values
+            except GenerationError:
+                failed.append([n, seed])
+            else:
+                sha[f"{n}/{seed}"] = hashlib.sha256(values.tobytes()).hexdigest()
+    return sha, failed
+
+
+def test_generate_matches_family_golden():
+    golden = json.loads(FAMILY_GOLDEN.read_text())
+    sha, failed = _family_outcomes()
+    assert failed == golden["generation_error"]
+    assert sha == golden["sha256"]
+
+
+def test_family_golden_covers_a_retried_draw(monkeypatch):
+    """n = 3, seed 1 is in the golden, but only its second draw passes."""
+    params = TwoParabolasParams(n=3, x0=2, x0p=5, seed=1)
+    assert "3/1" in json.loads(FAMILY_GOLDEN.read_text())["sha256"]
+    monkeypatch.setattr(two_parabolas, "MAX_RETRIES", 1)
+    with pytest.raises(GenerationError):
+        generate(params)
+    monkeypatch.setattr(two_parabolas, "MAX_RETRIES", 2)
+    generate(params)
