@@ -245,8 +245,6 @@ def _cmd_gap_scan(args) -> int:
     def payload_for(w, path_for):
         hw = build_final(inst, w)
         curve = gap_scan(h0, hw, points=args.points)
-        curve_path = path_for(args.curve)
-        curve.to_csv(curve_path)
         dmax = delta_max(h0, hw)
         est = runtime_estimate(curve.g_min, dmax, delta=args.delta)
         if inst.lam is not None:
@@ -255,6 +253,9 @@ def _cmd_gap_scan(args) -> int:
             diag_payload["minimizer_label"] = inst.label(diag.minimizer)
         else:
             diag_payload = None
+        # Only a weighting whose estimate and diagnostics succeeded leaves a curve.
+        curve_path = path_for(args.curve)
+        curve.to_csv(curve_path)
         return {
             **_header(inst),
             "weights": list(w.as_tuple()),

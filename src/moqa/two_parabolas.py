@@ -106,7 +106,7 @@ class TwoParabolasParams:
         lam: Target separation vector; every base step scale on an
             objective must exceed its entry.
         jitter: Relative spread of the multiplicative step noise.
-        seed: RNG seed; the generator is deterministic per seed.
+        seed: Nonnegative RNG seed; the generator is deterministic per seed.
     """
 
     n: int
@@ -119,9 +119,15 @@ class TwoParabolasParams:
     seed: int = 0
 
     def __post_init__(self):
-        size = 1 << self.n
+        for name in ("n", "x0", "x0p", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.n < 2:
             raise ConfigurationError("need n >= 2 for two interior optima")
+        size = 1 << self.n
         if not (0 <= self.x0 < self.x0p <= size - 1):
             raise ConfigurationError(
                 f"need 0 <= x0 < x0p <= {size - 1}; got x0={self.x0}, x0p={self.x0p}"
@@ -144,15 +150,12 @@ class TwoParabolasParams:
 
 
 def _branch_values(size, vertex, curv_left, curv_right, jitter, rng):
+    # One uniform draw per step, left side first; np.cumsum adds in order.
     vals = np.zeros(size)
-    acc = 0.0
-    for k in range(1, vertex + 1):
-        acc += curv_left * (2 * k - 1) * (1.0 + jitter * rng.uniform(-1.0, 1.0))
-        vals[vertex - k] = acc
-    acc = 0.0
-    for k in range(1, size - vertex):
-        acc += curv_right * (2 * k - 1) * (1.0 + jitter * rng.uniform(-1.0, 1.0))
-        vals[vertex + k] = acc
+    for side, curv, count in ((-1, curv_left, vertex), (1, curv_right, size - 1 - vertex)):
+        k = np.arange(1, count + 1)
+        steps = curv * (2 * k - 1) * (1.0 + jitter * rng.uniform(-1.0, 1.0, count))
+        vals[vertex + side * k] = np.cumsum(steps)
     return vals
 
 
@@ -214,18 +217,13 @@ def verify_two_parabolas(inst: McoInstance, x0: int, x0p: int) -> MonotonicityRe
         raise ConfigurationError(f"bad vertex indices x0={x0}, x0p={x0p}")
     vals = inst.values
     bad: list[tuple[str, int, int, int, float, float]] = []
-
-    def scan(segment: str, lo: int, hi: int, obj: int, increasing: bool):
-        for x in range(lo, hi):
-            a, b = float(vals[x, obj]), float(vals[x + 1, obj])
-            if (b <= a) if increasing else (b >= a):
-                bad.append((segment, obj, x, x + 1, a, b))
-
-    scan("head", 0, x0, 0, increasing=False)
-    scan("head", 0, x0, 1, increasing=False)
-    scan("tail", x0p, inst.size - 1, 0, increasing=True)
-    scan("tail", x0p, inst.size - 1, 1, increasing=True)
-    scan("middle", x0 + 1, x0p - 1, 0, increasing=True)
-    scan("middle", x0 + 1, x0p - 1, 1, increasing=False)
+    for segment, lo, hi, obj, increasing in (
+        ("head", 0, x0, 0, False), ("head", 0, x0, 1, False),
+        ("tail", x0p, inst.size - 1, 0, True), ("tail", x0p, inst.size - 1, 1, True),
+        ("middle", x0 + 1, x0p - 1, 0, True), ("middle", x0 + 1, x0p - 1, 1, False),
+    ):
+        a, b = vals[lo:hi, obj], vals[lo + 1:hi + 1, obj]
+        for x in (lo + np.flatnonzero((b <= a) if increasing else (b >= a))).tolist():
+            bad.append((segment, obj, x, x + 1, float(a[x - lo]), float(b[x - lo])))
 
     return MonotonicityReport(ok=not bad, violations=tuple(bad))

@@ -451,6 +451,21 @@ def test_gap_scan_estimates_outside_float_range(tmp_path, capsys, rows, code):
         assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
+def test_failed_gap_scan_leaves_no_curve(tmp_path, capsys):
+    # The 1e-300 end gap makes the runtime estimate overflow.
+    table = tmp_path / "t.csv"
+    table.write_text("x,f1,f2\n0,0.0,1e-300\n1,1e-300,0.0\n2,1.0,1.0\n3,2.0,2.0\n")
+    curve, out = tmp_path / "c.csv", tmp_path / "scan.json"
+    assert main(["gap-scan", str(table), "--w", "0.5", "--points", "8",
+                 "--curve", str(curve), "--output", str(out)]) == EXIT_NUMERICAL
+    assert not curve.exists() and not out.exists()
+    # A later weighting's failure keeps the files of the earlier ones.
+    assert main(["gap-scan", "--builtin", "--w", "0.57", "--w", "forty", "--points", "8",
+                 "--curve", str(curve), "--output", str(out)]) == EXIT_IO
+    assert (tmp_path / "c.w0.csv").exists() and (tmp_path / "scan.w0.json").exists()
+    assert not (tmp_path / "c.w1.csv").exists()
+
+
 def test_gap_scan_bad_weights_parse(tmp_path):
     # an empty field is an error, not a value to skip: "0.6," is not "0.6"
     for text in ["forty", "0.6,", ",0.6", "0.2,,0.8"]:
