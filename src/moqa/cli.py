@@ -22,6 +22,7 @@ from .errors import (
     InstanceFormatError,
     InvalidLinearizationError,
     MoqaError,
+    check_count,
 )
 from .evolution import DEFAULT_STEPS, evolve, measure, write_histogram_csv
 from .hamiltonians import DEFAULT_INITIAL_SCALE, build_final, build_initial
@@ -300,10 +301,9 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    if args.shots < 0:
-        raise ConfigurationError(f"shots must be >= 0, got {args.shots}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
+    args.shots = check_count("shots", args.shots, 0)
+    if args.seed is not None:
+        args.seed = check_count("seed", args.seed, 0)
     inst = _load_instance(args)
     h0 = build_initial(inst.n, scale=args.initial_scale)
 

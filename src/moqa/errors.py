@@ -6,6 +6,8 @@ configuration, 3 for an unresolvable degeneracy, 4 for a numerical failure.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 class MoqaError(Exception):
     """Base class for all errors raised by this package."""
@@ -77,3 +79,12 @@ class ConfigurationError(MoqaError):
     """A required parameter is missing or out of range."""
 
     exit_code = 1
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """Return value as an int; refuse non-integers, bools and values < minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

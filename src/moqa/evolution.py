@@ -10,20 +10,20 @@ stays at machine-precision level and is tracked, not corrected.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, NormalizationError
+from .errors import check_count
 from .hamiltonians import (
     DiagonalHamiltonian,
     InitialHamiltonian,
     commutes,
     interpolation_dense,
 )
-from .instance_io import write_text_atomic
+from .instance_io import csv_text, write_text_atomic
 from .spectral import DEGENERACY_TOL, degeneracy_check
 
 DEFAULT_STEPS = 4096
@@ -33,9 +33,7 @@ HISTOGRAM_CSV_HEADER = "x,count,probability"
 
 def initial_ground_state(n: int) -> np.ndarray:
     """Uniform superposition over n bits: every amplitude is 2^(-n/2)."""
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
-    dim = 1 << n
+    dim = 1 << check_count("n", n, 1)
     return np.full(dim, dim ** -0.5, dtype=np.complex128)
 
 
@@ -95,12 +93,7 @@ def evolve(
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     if total_time < 0 or not np.isfinite(total_time):
         raise ConfigurationError(f"total_time must be finite and >= 0, got {total_time}")
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise ConfigurationError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    steps = check_count("steps", steps, 1)
     psi = initial_ground_state(int(h0.dim).bit_length() - 1)
     # The drift starts from the initial state's own rounding error.
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
@@ -137,7 +130,7 @@ def evolve(
     return EvolutionResult(
         final_state=psi,
         total_time=float(total_time),
-        steps=int(steps),
+        steps=steps,
         norm_drift=float(drift),
         target_index=target,
         ground_fidelity=fidelity,
@@ -162,16 +155,15 @@ def measure(state: np.ndarray, shots: int, seed: int | None = None) -> np.ndarra
     if psi.ndim != 1 or psi.size < 2:
         raise DimensionMismatchError("state must be a vector of length >= 2")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
         raise NormalizationError(f"state norm {norm!r} is not 1")
-    if shots < 0:
-        raise ConfigurationError(f"shots must be >= 0, got {shots}")
-    if seed is not None and seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    shots = check_count("shots", shots, 0)
+    if seed is not None:
+        seed = check_count("seed", seed, 0)
     probs = np.abs(psi) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    outcomes = rng.choice(psi.size, size=int(shots), p=probs)
+    outcomes = rng.choice(psi.size, size=shots, p=probs)
     return np.bincount(outcomes, minlength=psi.size).astype(np.int64)
 
 
@@ -183,8 +175,6 @@ def write_histogram_csv(counts: np.ndarray, path) -> None:
     """
     counts = np.asarray(counts, dtype=np.int64)
     shots = int(counts.sum())
-    lines = [HISTOGRAM_CSV_HEADER]
-    for x, c in enumerate(counts):
-        p = (int(c) / shots) if shots else 0.0
-        lines.append(f"{x},{int(c)},{p!r}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    probs = counts / shots if shots else np.zeros(counts.size)
+    text = csv_text(HISTOGRAM_CSV_HEADER, np.arange(counts.size), counts, probs)
+    write_text_atomic(path, text)

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     HermiticityError,
     InvalidInitialValuesError,
+    check_count,
 )
 from .mco import Linearization, McoInstance, scalarize
 
@@ -118,8 +119,7 @@ def build_initial(
     n: int, scale: float = DEFAULT_INITIAL_SCALE, h_values=None
 ) -> InitialHamiltonian:
     """Driver Hamiltonian on n bits; default penalties are all 1."""
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
+    n = check_count("n", n, 1)
     if h_values is None:
         h = np.ones(1 << n)
         h[0] = 0.0

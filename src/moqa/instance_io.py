@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +23,21 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def csv_text(header: str, *columns) -> str:
+    """CSV text, one row per entry of the columns; each cell is the repr of
+    the Python int or float from .tolist(), so it reads back bit for bit."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def write_text_atomic(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    The temp file gets mode 0o666 less the umask, as open() would give it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -163,11 +173,7 @@ def write_instance(inst: McoInstance, csv_path) -> None:
     """Write an instance table and its JSON sidecar, each atomically."""
     csv_path = Path(csv_path)
     header = ",".join(["x"] + [f"f{i+1}" for i in range(inst.d)])
-    lines = [header]
-    for x in range(inst.size):
-        vals = ",".join(repr(float(v)) for v in inst.values[x])
-        lines.append(f"{x},{vals}")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(csv_path, csv_text(header, np.arange(inst.size), *inst.values.T))
     info = {
         "n": inst.n,
         "d": inst.d,

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateGapError,
     DimensionMismatchError,
     NumericalRangeError,
+    check_count,
 )
 from .hamiltonians import (
     DiagonalHamiltonian,
@@ -31,7 +32,7 @@ from .hamiltonians import (
     InitialHamiltonian,
     interpolation_dense,
 )
-from .instance_io import write_text_atomic
+from .instance_io import csv_text, write_text_atomic
 from .mco import Linearization, McoInstance, scalarize, trivial_solutions
 
 #: Absolute tolerance under which two eigenvalues count as tied.
@@ -106,17 +107,13 @@ class GapCurve:
         return float(self.s_values[int(self.gap.argmin())])
 
     def to_csv(self, path) -> None:
-        lines = [GAP_CSV_HEADER]
-        for s, l0, l1, g in zip(self.s_values, self.lambda0, self.lambda1, self.gap):
-            lines.append(f"{float(s)!r},{float(l0)!r},{float(l1)!r},{float(g)!r}")
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        text = csv_text(GAP_CSV_HEADER, self.s_values, self.lambda0, self.lambda1, self.gap)
+        write_text_atomic(path, text)
 
 
 def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Evenly spaced schedule grid on [0, 1], endpoints included."""
-    if points < 2:
-        raise ConfigurationError("need at least 2 grid points")
-    return np.linspace(0.0, 1.0, points)
+    return np.linspace(0.0, 1.0, check_count("points", points, 2))
 
 
 def secular_roots(offsets, weights, slopes, target, lo, hi) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError
+from .errors import ConfigurationError, GenerationError, check_count
 from .mco import McoInstance, validate
 
 # Bundled 7-bit instance: 128 rows of (f1, f2), row k holding the values
@@ -119,16 +119,10 @@ class TwoParabolasParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "x0", "x0p", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.n < 2:
-            raise ConfigurationError("need n >= 2 for two interior optima")
+        for name, minimum in (("n", 2), ("x0", 0), ("x0p", 0), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
         size = 1 << self.n
-        if not (0 <= self.x0 < self.x0p <= size - 1):
+        if not (self.x0 < self.x0p <= size - 1):
             raise ConfigurationError(
                 f"need 0 <= x0 < x0p <= {size - 1}; got x0={self.x0}, x0p={self.x0p}"
             )
@@ -213,7 +207,8 @@ def verify_two_parabolas(inst: McoInstance, x0: int, x0p: int) -> MonotonicityRe
     """
     if inst.d != 2:
         raise ConfigurationError("the shape check applies to 2-objective instances")
-    if not (0 <= x0 < x0p <= inst.size - 1):
+    x0, x0p = check_count("x0", x0, 0), check_count("x0p", x0p, 0)
+    if not (x0 < x0p <= inst.size - 1):
         raise ConfigurationError(f"bad vertex indices x0={x0}, x0p={x0p}")
     vals = inst.values
     bad: list[tuple[str, int, int, int, float, float]] = []

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -22,7 +23,15 @@ import pytest
 from jsonschema import validate as check_schema
 
 import moqa
-from moqa import McoInstance, MoqaError, cli, errors, write_instance
+from moqa import (
+    GapCurve,
+    McoInstance,
+    MoqaError,
+    cli,
+    errors,
+    write_histogram_csv,
+    write_instance,
+)
 from moqa.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -707,6 +716,49 @@ def test_bench_export_round_trip(tmp_path):
     sidecar = json.loads((tmp_path / "table.json").read_text())
     assert sidecar["label_offset"] == 1
     assert sidecar["lambda"] == [0.2, 0.4]
+
+
+@pytest.mark.parametrize("shots", [0, 1, 1000])
+def test_csv_writers_match_per_row_formatting(tmp_path, shots):
+    # Reference: each writer's per-row formatting before the shared encoder.
+    def text(lines):
+        return "\n".join(lines) + "\n"
+
+    values = np.array([[0.0, 5e-324], [1e308, -0.0], [0.1, 1 / 3], [2.5, 7.0]])
+    write_instance(McoInstance(values), tmp_path / "i.csv")
+    rows = [f"{x},{float(a)!r},{float(b)!r}" for x, (a, b) in enumerate(values)]
+    assert (tmp_path / "i.csv").read_text() == text(["x,f1,f2", *rows])
+
+    counts = np.random.default_rng(shots).multinomial(shots, [0.5, 0.25, 0.125, 0.125])
+    write_histogram_csv(counts, tmp_path / "h.csv")
+    rows = [f"{x},{int(c)},{(int(c) / shots) if shots else 0.0!r}" for x, c in enumerate(counts)]
+    assert (tmp_path / "h.csv").read_text() == text(["x,count,probability", *rows])
+
+    f1, f2 = values.T
+    curve = GapCurve(np.linspace(0.0, 1.0, 4), f1, f2, f2 - f1)
+    curve.to_csv(tmp_path / "c.csv")
+    rows = [
+        ",".join(f"{float(v)!r}" for v in row)
+        for row in zip(curve.s_values, curve.lambda0, curve.lambda1, curve.gap)
+    ]
+    assert (tmp_path / "c.csv").read_text() == text(["s,lambda0,lambda1,gap", *rows])
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    # Files go through a temp file and a rename; they still get the umask's
+    # mode, also where they replace a file that had another mode.
+    old_umask = os.umask(0o022)
+    try:
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x\n")
+        out = tmp_path / "table.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        assert main(["bench", "export", "--output", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"plain.txt": 0o644, "table.csv": 0o644, "table.json": 0o644}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from moqa import (
     ConfigurationError,
     DiagonalHamiltonian,
     Linearization,
+    NormalizationError,
     build_final,
     build_initial,
     evolve,
@@ -178,6 +179,15 @@ def test_measure_tracks_probabilities():
 def test_measure_rejects_negative_seed():
     with pytest.raises(ConfigurationError):
         measure(initial_ground_state(2), 5, seed=-1)
+
+
+def test_measure_rejects_nan_state():
+    # A NaN norm is refused here, not passed on to rng.choice.
+    state = initial_ground_state(2)
+    state[1] = np.nan
+    with pytest.raises(NormalizationError) as info:
+        measure(state, 5, seed=0)
+    assert info.value.exit_code == 4
 
 
 def test_histogram_csv_format(tmp_path):
