@@ -81,9 +81,14 @@ class ConfigurationError(MoqaError):
     exit_code = 1
 
 
+def is_integer(value) -> bool:
+    """Python and NumPy integers count; bools, floats and strings do not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, minimum: int) -> int:
     """Return value as an int; refuse non-integers, bools and values < minimum."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if not is_integer(value):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")

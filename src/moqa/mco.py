@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     InstanceFormatError,
     InvalidLinearizationError,
+    is_integer,
 )
 
 WEIGHT_SUM_TOL = 1e-12
@@ -68,6 +69,11 @@ class McoInstance:
             raise InstanceFormatError("objective values must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if not is_integer(self.label_offset):
+            raise InstanceFormatError(
+                f"label_offset must be an integer, got {self.label_offset!r}"
+            )
+        object.__setattr__(self, "label_offset", int(self.label_offset))
         if self.lam is not None:
             lam = np.asarray(self.lam, dtype=np.float64)
             if lam.shape != (d,):

@@ -48,6 +48,15 @@ SECULAR_BLOCK = 1 << 16
 #: Bisection halvings after which secular_roots stops even if a bracket is
 #: still wider than one float64 spacing.
 SECULAR_MAX_STEPS = 128
+#: rank_one_eigh takes a root as final once a step moves it by at most this
+#: fraction of its offset from its pole; the next step of a quadratically
+#: convergent iteration is then far below float64 resolution.
+RANK_ONE_STEP_TOL = 1e-9
+#: Steps after which rank_one_eigh gives up on a root that has not converged.
+RANK_ONE_MAX_STEPS = 64
+#: rank_one_eigh takes rows in blocks of about this many elements divided by
+#: the number of distinct levels.
+RANK_ONE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +167,195 @@ def secular_roots(offsets, weights, slopes, target, lo, hi) -> np.ndarray:
                 b = np.where(right, b, mid)
             out[rows] = 0.5 * (a + b)
     return out
+
+
+def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of diag(levels) - g * |z><z|, one problem per coupling g.
+
+    Root k > 0 lies between the poles levels[k - 1] and levels[k], and
+    root 0 lies in (levels[0] - g * sum(weights), levels[0]).  Each root is
+    held as an offset from its nearer pole, picked from the sign of the
+    secular function at the interval's midpoint, and found by the two-pole
+    rational model of Bunch, Nielsen & Sorensen (1978), the "middle way" of
+    LAPACK's dlaed4 (Li 1993), inside a kept bracket: a model step that
+    leaves the bracket is replaced by bisection.  The vectors use the
+    weights that make the computed roots exact (Gu & Eisenstat 1995), and
+    every level-to-root distance is a level difference plus a root offset,
+    so close levels keep their relative accuracy.  A problem costs O(K^2):
+    a few O(K) steps per root, and O(K) per weight and per vector.
+
+    Args:
+        levels: Strictly increasing diagonal, shape (K,).
+        weights: z_j**2 > 0, shape (K,).
+        couplings: Positive g per problem, shape (S,).
+
+    Returns:
+        (values, vectors): ascending eigenvalues, shape (S, K), and
+        orthonormal eigenvectors in the columns of each vectors[s], shape
+        (S, K, K).  Rows (problem, root) go in blocks of about
+        RANK_ONE_BLOCK / K, so the temporaries beside the result stay
+        within a few K x K arrays.
+
+    Raises:
+        NumericalRangeError: When a root has not converged after
+            RANK_ONE_MAX_STEPS steps, or when the eigenpairs leave float
+            range, as they do for levels closer than the smallest normal
+            float.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    couplings = np.atleast_1d(np.asarray(couplings, dtype=np.float64))
+    size, count = levels.size, couplings.size
+    if size == 1:
+        return levels - couplings[:, None] * weights, np.ones((count, 1, 1))
+    z, total = np.sqrt(weights), weights.sum()
+    rank = np.tile(np.arange(size), count)
+    problem = np.repeat(np.arange(count), size)
+    # gaps[p, j] = levels[j] - levels[p], each rounded once.
+    gaps = levels - levels[:, None]
+    values = np.empty(count * size)
+    zhat2 = np.ones((count, size))
+    poles = np.empty(count * size, dtype=np.intp)
+    offsets = np.empty(count * size)
+    step = max(1, RANK_ONE_BLOCK // size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # The weights are recomputed as a product over roots of
+        # (level - root) / (level - pole), pairing root k with the one of
+        # its bracketing poles farther from the level: every factor but
+        # root 0's lies in (0, 1), so no partial product leaves float range.
+        inv_far = np.abs(gaps[:-1])
+        np.maximum(inv_far, np.abs(gaps[1:]), out=inv_far)
+        np.reciprocal(inv_far, out=inv_far)
+        for start in range(0, rank.size, step):
+            rows = slice(start, start + step)
+            k, g = rank[rows], couplings[problem[rows]]
+            pole, offset = _rank_one_roots(gaps, z, total, k, g)
+            poles[rows], offsets[rows] = pole, offset
+            values[rows] = levels[pole] + offset
+            ratio = gaps[pole] - offset[:, None]
+            first = k == 0
+            head = ratio[first] / (gaps[0] + g[first, None])
+            ratio *= inv_far[np.maximum(k - 1, 0)]
+            ratio[first] = head
+            owner = problem[rows]
+            cuts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+            zhat2[owner[cuts]] *= np.multiply.reduceat(ratio, cuts, axis=0)
+        # Root 0 was paired with g + levels - levels[0] instead of g.
+        zhat = np.sqrt(np.abs(zhat2) * (1.0 + gaps[0] / couplings[:, None]))
+        out = np.empty((count * size, size))
+        for start in range(0, rank.size, step):
+            rows = slice(start, start + step)
+            vec = out[rows]
+            np.subtract(gaps[poles[rows]], offsets[rows, None], out=vec)
+            np.divide(zhat[problem[rows]], vec, out=vec)
+            # The nearest level is the root's pole, so this scaling keeps
+            # every entry at most max(zhat) and the squares in range.
+            vec *= np.abs(offsets[rows, None])
+            vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(out))):
+        raise NumericalRangeError(
+            "rank-one eigenpairs left float range; the levels are too close "
+            "for their spread and couplings"
+        )
+    vectors = out.reshape(count, size, size).transpose(0, 2, 1)
+    return values.reshape(count, size), vectors
+
+
+def _rank_one_roots(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
+    """Root k of sum_j z_j**2 / (levels_j - x) = 1 / g, one per row.
+
+    Returns (pole, offset) per row; the root is levels[pole] + offset.
+    """
+    inner = k > 0
+    # Model poles: the two bracketing poles, or poles 0 and 1 for root 0.
+    left, right = np.maximum(k - 1, 0), np.maximum(k, 1)
+    width = gaps[left, right]
+    tiny = np.nextafter(0.0, 1.0)
+    # Start at the bracket's midpoint, measured from the left pole; the
+    # poles stay outside the bracket, so no iterate lands on one.
+    pole = left.copy()
+    lo = np.where(inner, tiny, -g * total)
+    hi = np.where(inner, np.nextafter(width, 0.0), -tiny)
+    offset = np.where(inner, 0.5 * width, 0.5 * lo)
+    target = 1.0 / g
+    active = np.arange(k.size)
+    for it in range(RANK_ONE_MAX_STEPS):
+        if active.size == 0:
+            break
+        at, lft, rgt = offset[active], left[active], right[active]
+        dist = gaps[pole[active]]
+        dist -= at[:, None]
+        here = np.arange(active.size)
+        d_left, d_right = dist[here, lft], dist[here, rgt]
+        np.divide(z, dist, out=dist)
+        f = dist @ z - target[active]
+        # Lengths in units of the distance to the nearer model pole keep the
+        # squared terms in range when the levels span hundreds of decades.
+        unit = np.minimum(np.abs(d_left), np.abs(d_right))
+        dist *= unit[:, None]
+        np.square(dist, out=dist)
+        cuts = np.empty(2 * active.size, dtype=np.intp)
+        cuts[0::2] = here * gaps.shape[0]
+        cuts[1::2] = cuts[0::2] + rgt
+        slopes = np.add.reduceat(dist.ravel(), cuts).reshape(-1, 2)
+        lo_a = np.where(f < 0, at, lo[active])
+        hi_a = np.where(f > 0, at, hi[active])
+        if it == 0:
+            # A root in the right half is measured from the right pole.
+            move = inner & (f < 0)
+            pole[move] = right[move]
+            at[move] -= width[move]
+            lo_a[move] -= width[move]
+            hi_a[move] = -tiny
+        # Near: the pole the root is measured from; far: the other one.
+        near_left = pole[active] == lft
+        s_near = np.where(near_left, slopes[:, 0], slopes[:, 1])
+        s_far = np.where(near_left, slopes[:, 1], slopes[:, 0])
+        d_near = -at / unit
+        d_far = np.where(near_left, d_right, d_left) / unit
+        spacing = np.where(near_left, width[active], -width[active]) / unit
+        # f(x + t) ~ C + A / (d_near - t) + B / (d_far - t) matches f and f'
+        # at x, with A = d_near**2 * s_near and B = d_far**2 * s_far.  Its
+        # root nearest x solves C t^2 - a t + b = 0, which keeps a short
+        # step exact; a step that takes most of the way to the pole is
+        # exact in y = d_near - t, which solves C y^2 + beta y + gamma = 0.
+        f_unit = f * unit
+        a_near = d_near * s_near * d_near
+        c = f_unit - d_near * s_near - d_far * s_far
+        a = f_unit * (d_near + d_far) - d_near * d_far * (s_near + s_far)
+        b = d_near * d_far * f_unit
+        beta = c * spacing + a_near + d_far * s_far * d_far
+        gamma = a_near * spacing
+        step = at + unit * _quadratic_roots(c, -a, b)[0]
+        small, large = (-unit * y for y in _quadratic_roots(c, beta, gamma))
+        # The model's root in the bracket, else bisection.  A converged root
+        # sits on its own bracket, so the bracket's ends count as inside.
+        new = np.select(
+            [
+                (np.abs(step - at) < 0.5 * np.abs(at)) & (lo_a <= step) & (step <= hi_a),
+                (lo_a <= small) & (small <= hi_a),
+                (lo_a <= large) & (large <= hi_a),
+            ],
+            [step, small, large],
+            0.5 * (lo_a + hi_a),
+        )
+        done = np.abs(new - at) <= RANK_ONE_STEP_TOL * np.abs(new)
+        lo[active], hi[active], offset[active] = lo_a, hi_a, new
+        active = active[~done]
+    if active.size:
+        raise NumericalRangeError(
+            f"{active.size} secular roots did not converge in "
+            f"{RANK_ONE_MAX_STEPS} steps"
+        )
+    return pole, offset
+
+
+def _quadratic_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) roots by magnitude of a2 x^2 + a1 x + a0, stably."""
+    norm = np.maximum(np.maximum(np.abs(a2), np.abs(a1)), np.abs(a0))
+    a2, a1, a0 = a2 / norm, a1 / norm, a0 / norm
+    q = -0.5 * (a1 + np.copysign(np.sqrt(np.abs(a1 * a1 - 4.0 * a2 * a0)), a1))
+    return a0 / q, q / a2
 
 
 def gap_scan(

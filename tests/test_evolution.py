@@ -1,16 +1,23 @@
 """Schedule-evolution tests.
 
 The propagator is compared against an independent reference built from
-scipy.linalg.expm products on a much finer grid.
+scipy.linalg.expm products, on a much finer grid or on the same slices,
+and the default driver's level-basis run against the dense branch.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from moqa import (
     ConfigurationError,
     DiagonalHamiltonian,
+    InitialHamiltonian,
     Linearization,
     NormalizationError,
     build_final,
@@ -131,10 +138,75 @@ def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatc
     def slice_ran(*args):
         raise AssertionError("a schedule slice ran")
 
+    # The default driver runs its slices through rank_one_eigh, any other
+    # driver through interpolation_dense.
     monkeypatch.setattr(evolution, "interpolation_dense", slice_ran)
+    monkeypatch.setattr(evolution, "rank_one_eigh", slice_ran)
     h0, hw = system
     with pytest.raises(ConfigurationError):
         evolve(h0, hw, 1.0, steps=4, tie_tol=tol)
+
+
+def test_default_driver_evolution_skips_dense_solvers(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense solver ran")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(evolution, "interpolation_dense", refuse)
+    h0 = build_initial(5)
+    hw = DiagonalHamiltonian(rng.uniform(0.0, 50.0, 32))
+    res = evolve(h0, hw, 5.0, steps=16)
+    assert res.norm_drift <= 1e-12
+    assert abs(res.distribution.sum() - 1.0) <= 1e-12
+
+
+def dense_path(h0, hw, total_time, steps):
+    """evolve on its dense branch, which other driver penalties take."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InitialHamiltonian, "is_default", property(lambda self: False))
+        return evolve(h0, hw, total_time, steps=steps)
+
+
+@st.composite
+def level_basis_cases(draw):
+    """(scale, diagonal, T, steps) on n <= 8 bits with repeated levels."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    diag = np.asarray(pool)[np.random.default_rng(seed).integers(0, len(pool), 1 << n)]
+    scale = draw(st.sampled_from([0.25, 3.0, 8.0, 1000.0]))
+    total_time = draw(st.floats(0.1, 20.0))
+    return scale, diag, total_time, draw(st.integers(1, 8))
+
+
+ULPS = np.nextafter(1.0, 2.0) - 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=level_basis_cases())
+@example(case=(8.0, np.array([0.5, 2.0, 0.5, 7.0, 3.0, 0.5, 3.0, 9.0]), 6.0, 8))  # tied min
+@example(case=(3.0, 1.0 + ULPS * np.array([0, 1, 2, 2, 3, 5, 8, 200.0]), 15.0, 8))  # ulps apart
+@example(case=(0.25, np.full(16, 4.5), 7.0, 4))  # one level
+@example(case=(3.0, np.array([0.0, 5e-324, 1e-310, 2.5]), 9.0, 8))  # subnormal gaps
+@example(case=(1000.0, np.array([0.0, 2.0, 1.0, 6.0]), 2.0, 8))
+@example(case=(0.25, np.array([3.0, 1.0, 2.0, 2.0 + 4 * ULPS]), 20.0, 8))
+def test_level_basis_matches_dense_path_and_reference(case):
+    scale, diag, total_time, steps = case
+    h0 = build_initial(diag.size.bit_length() - 1, scale=scale)
+    hw = DiagonalHamiltonian(diag)
+    with warnings.catch_warnings():
+        # A constant diagonal commutes with the driver.
+        warnings.filterwarnings("ignore", "driver and problem Hamiltonians commute")
+        res = evolve(h0, hw, total_time, steps=steps)
+        dense = dense_path(h0, hw, total_time, steps)
+    ref = reference_evolution(h0, hw, total_time, steps)
+    assert np.max(np.abs(res.final_state - dense.final_state)) <= 1e-9
+    assert np.max(np.abs(res.final_state - ref)) <= 1e-9
+    assert np.max(np.abs(res.distribution - dense.distribution)) <= 1e-9
+    assert res.norm_drift <= 1e-12
+    assert (res.ground_fidelity is None) == (dense.ground_fidelity is None)
+    if res.ground_fidelity is not None:
+        assert abs(res.ground_fidelity - dense.ground_fidelity) <= 1e-9
 
 
 def test_slow_evolution_reaches_ground_state():

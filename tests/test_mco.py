@@ -136,6 +136,18 @@ def test_instance_shape_and_labels():
     assert inst.label(0) == 1
 
 
+@pytest.mark.parametrize("offset", [1.5, True, "a"], ids=["fractional", "bool", "string"])
+def test_instance_rejects_non_integer_label_offset(offset):
+    with pytest.raises(InstanceFormatError, match="label_offset must be an integer"):
+        make_instance([[0.0, 1.0], [1.0, 0.0]], label_offset=offset)
+
+
+def test_instance_stores_numpy_label_offset_as_int():
+    inst = make_instance([[0.0, 1.0], [1.0, 0.0]], label_offset=np.int64(1))
+    assert type(inst.label_offset) is int
+    assert inst.label(0) == 1
+
+
 def test_instance_values_read_only():
     inst = make_instance([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):

@@ -375,3 +375,71 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(DimensionMismatchError):
         call(h0, hw)
+
+
+# ---------------------------------------------------------------------------
+# rank_one_eigh, the level-basis eigensolver of the default-driver schedule
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(7)
+    unit = np.sort(rng.uniform(0.0, 1.0, 48))
+    ulps = 1.0 + (np.nextafter(1.0, 2.0) - 1.0) * np.array([0.0, 1.0, 2.0, 4.0, 7.0])
+    for name, levels in [
+        ("unit", unit),
+        ("1e100", unit * 1e100),
+        ("1e200", unit * 1e200),
+        ("decades", np.logspace(-3, 200, 40)),
+        ("ulps", np.r_[ulps, 2.0, 3.0]),
+        ("tiny_gaps", np.array([0.0, 1e-300, 3e-300, 1e-3, 1.0])),
+    ]:
+        weights = rng.integers(1, 6, levels.size).astype(float)
+        yield pytest.param(levels, weights / weights.sum(), id=name)
+    wide = np.random.default_rng(4)
+    levels = np.sort(wide.uniform(0.0, 1.0, 100))
+    weights = 10.0 ** wide.uniform(-8.0, 0.0, 100)
+    yield pytest.param(levels, weights / weights.sum(), id="wide_weights")
+    # Vectors built from the given weights instead of the recomputed ones
+    # lose orthogonality to about 1e-12 here.
+    levels = np.array([1.75, 2.5, 3.0, 3.75, 4.25, 4.5, 8.0])
+    weights = np.array([1.0, 1.0, 1.6e-12, 1.0, 1.0, 1.0, 2.5e-12])
+    yield pytest.param(levels, weights / weights.sum(), id="tiny_weights")
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
+    # g = (1 - s) * scale / s for s from 1e-9 (near the start of the
+    # schedule) to 1 - 1e-6, at the default scale.
+    s = np.array([1e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-6])
+    couplings = (1.0 - s) * 8.0 / s
+    values, vectors = spectral.rank_one_eigh(levels, weights, couplings)
+    z = np.sqrt(weights)
+    for g, vals, vecs in zip(couplings, values, vectors):
+        mat = np.diag(levels) - g * np.outer(z, z)
+        ref = np.linalg.eigvalsh(mat)
+        norm = np.max(np.abs(ref))
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * norm
+        assert np.all(np.diff(vals) >= 0)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(levels.size))) <= 1e-13
+        assert np.max(np.abs(mat @ vecs - vecs * vals)) <= 1e-14 * norm
+
+
+def test_rank_one_eigh_single_level_is_closed_form():
+    values, vectors = spectral.rank_one_eigh([3.0], [1.0], [2.0, 0.5])
+    assert values.tolist() == [[1.0], [2.5]]
+    assert vectors.tolist() == [[[1.0]], [[1.0]]]
+
+
+def test_rank_one_eigh_refuses_subnormal_gaps():
+    # The reciprocal of a subnormal distance is infinite; evolve merges
+    # such levels before it calls the kernel.
+    with pytest.raises(NumericalRangeError, match="left float range"):
+        spectral.rank_one_eigh([0.0, 5e-324, 1.0], np.full(3, 1.0 / 3.0), [8.0])
+
+
+def test_rank_one_eigh_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "RANK_ONE_MAX_STEPS", 2)
+    levels = np.linspace(0.0, 1.0, 16)
+    with pytest.raises(NumericalRangeError, match="did not converge") as info:
+        spectral.rank_one_eigh(levels, np.full(16, 1.0 / 16), [8.0])
+    assert info.value.exit_code == 4
