@@ -35,7 +35,8 @@ w = Linearization((0.57, 0.43))
 h0 = build_initial(inst.n, scale=8.0)
 hw = build_final(inst, w)
 
-# 512 dense eigensolves on the interpolated operator.
+# 512 samples; with this driver each inner one is two secular-equation
+# roots over the distinct objective values, and no matrix is formed.
 curve = gap_scan(h0, hw, points=512)
 csv_path = OUT / "gap_curve.csv"
 curve.to_csv(csv_path)

@@ -8,8 +8,10 @@ spectrum at s = 1 to the instance's separation vector.
 With the default driver scale * (I - |u><u|), where u is the uniform
 superposition, every operator analysed here is a diagonal plus a rank-one
 term.  Its eigenvalues are then roots of a secular equation over the
-distinct diagonal levels (Golub 1973), which secular_roots brackets and
-bisects without forming a matrix.  Other drivers take the dense path.
+distinct diagonal levels (Golub 1973).  secular_roots finds them by a
+rational iteration inside a kept bracket, without forming a matrix; the
+gap scan, delta_max and rank_one_eigh all use it.  Other drivers take the
+dense path.
 """
 
 from __future__ import annotations
@@ -42,20 +44,14 @@ DEGENERACY_TOL = 1e-9
 RESIDUAL_REL_TOL = 1e-8
 DEFAULT_GRID_POINTS = 512
 GAP_CSV_HEADER = "s,lambda0,lambda1,gap"
-#: secular_roots takes rows in blocks of about this many elements divided by
-#: the number of distinct levels, so its temporaries stay bounded.
-SECULAR_BLOCK = 1 << 16
-#: Bisection halvings after which secular_roots stops even if a bracket is
-#: still wider than one float64 spacing.
-SECULAR_MAX_STEPS = 128
-#: rank_one_eigh takes a root as final once a step moves it by at most this
+#: secular_roots takes a root as final once a step moves it by at most this
 #: fraction of its offset from its pole; the next step of a quadratically
 #: convergent iteration is then far below float64 resolution.
 RANK_ONE_STEP_TOL = 1e-9
-#: Steps after which rank_one_eigh gives up on a root that has not converged.
+#: Steps after which secular_roots gives up on a root that has not converged.
 RANK_ONE_MAX_STEPS = 64
-#: rank_one_eigh takes rows in blocks of about this many elements divided by
-#: the number of distinct levels.
+#: Callers of secular_roots take rows in blocks of about this many elements
+#: divided by the number of distinct levels, so its temporaries stay bounded.
 RANK_ONE_BLOCK = 1 << 17
 
 
@@ -125,64 +121,14 @@ def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 1.0, check_count("points", points, 2))
 
 
-def secular_roots(offsets, weights, slopes, target, lo, hi) -> np.ndarray:
-    """Bracketed roots of rank-one secular equations, one per row.
-
-    Away from its poles d_j, diag(d) + rho * |z><z| has the eigenvalue
-    p + tau, for a reference pole p, exactly where
-    sum_j z_j**2 / (d_j - p - tau) = -1 / rho.  Row b solves
-    sum_j weights[j] / (slopes[b] * offsets[j] - tau) = target[b] for tau
-    in (lo[b], hi[b]), with slopes[b] * offsets[j] standing for d_j - p:
-    measuring from p keeps the pole distances free of cancellation.  The
-    bracket must hold no pole, so the sum rises strictly across it, and
-    bisection narrows it to adjacent floats.
-
-    Args:
-        offsets: Level offsets, shape (K,).
-        weights: Level weights z_j**2, shape (K,).
-        slopes, target, lo, hi: Per-row scalars, broadcast together.
-
-    Returns:
-        tau per row.  Rows go in blocks of about SECULAR_BLOCK / K, so no
-        temporary grows with rows * K.
-    """
-    slopes, target, lo, hi = np.broadcast_arrays(*np.atleast_1d(slopes, target, lo, hi))
-    out = np.empty(slopes.shape)
-    step = max(1, SECULAR_BLOCK // offsets.size)
-    # A converged row may bisect onto a pole; its sum is never used.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, out.size, step):
-            rows = slice(start, start + step)
-            poles = slopes[rows, None] * offsets
-            buf = np.empty_like(poles)
-            a, b, t = lo[rows], hi[rows], target[rows]
-            for _ in range(SECULAR_MAX_STEPS):
-                mid = 0.5 * (a + b)
-                if np.all((mid <= a) | (mid >= b)):
-                    break
-                np.subtract(poles, mid[:, None], out=buf)
-                np.divide(weights, buf, out=buf)
-                right = buf.sum(axis=1) < t
-                a = np.where(right, mid, a)
-                b = np.where(right, b, mid)
-            out[rows] = 0.5 * (a + b)
-    return out
-
-
 def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of diag(levels) - g * |z><z|, one problem per coupling g.
 
-    Root k > 0 lies between the poles levels[k - 1] and levels[k], and
-    root 0 lies in (levels[0] - g * sum(weights), levels[0]).  Each root is
-    held as an offset from its nearer pole, picked from the sign of the
-    secular function at the interval's midpoint, and found by the two-pole
-    rational model of Bunch, Nielsen & Sorensen (1978), the "middle way" of
-    LAPACK's dlaed4 (Li 1993), inside a kept bracket: a model step that
-    leaves the bracket is replaced by bisection.  The vectors use the
-    weights that make the computed roots exact (Gu & Eisenstat 1995), and
-    every level-to-root distance is a level difference plus a root offset,
-    so close levels keep their relative accuracy.  A problem costs O(K^2):
-    a few O(K) steps per root, and O(K) per weight and per vector.
+    The eigenvalues are the K roots from secular_roots.  The vectors use
+    the weights that make the computed roots exact (Gu & Eisenstat 1995),
+    and every level-to-root distance is a level difference plus a root
+    offset, so close levels keep their relative accuracy.  A problem costs
+    O(K^2): a few O(K) steps per root, and O(K) per weight and per vector.
 
     Args:
         levels: Strictly increasing diagonal, shape (K,).
@@ -229,7 +175,7 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
         for start in range(0, rank.size, step):
             rows = slice(start, start + step)
             k, g = rank[rows], couplings[problem[rows]]
-            pole, offset = _rank_one_roots(gaps, z, total, k, g)
+            pole, offset = secular_roots(gaps, z, total, k, g)
             poles[rows], offsets[rows] = pole, offset
             values[rows] = levels[pole] + offset
             ratio = gaps[pole] - offset[:, None]
@@ -261,10 +207,36 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
     return values.reshape(count, size), vectors
 
 
-def _rank_one_roots(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
+# A degenerate model, such as one at an exact zero of f, gives inf or NaN
+# candidates, which the bracket tests reject.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def secular_roots(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
     """Root k of sum_j z_j**2 / (levels_j - x) = 1 / g, one per row.
 
-    Returns (pole, offset) per row; the root is levels[pole] + offset.
+    These are the eigenvalues of diag(levels) - g * |z><z|.  Root k > 0
+    lies between the poles levels[k - 1] and levels[k], for either sign of
+    g; root 0 lies in (levels[0] - g * total, levels[0]) and needs g > 0.
+    Each root is held as an offset from its nearer pole, picked from the
+    sign of the secular function at the interval's midpoint, and found by
+    the two-pole rational model of Bunch, Nielsen & Sorensen (1978), the
+    "middle way" of LAPACK's dlaed4 (Li 1993), inside a kept bracket: a
+    model step that leaves the bracket is replaced by bisection.
+
+    Args:
+        gaps: Level differences gaps[p, j] = levels[j] - levels[p], each
+            rounded once, for the poles p = 0 .. max(1, max(k)).
+        z: Square roots of the level weights, shape (K,).
+        total: Sum of the weights.
+        k, g: Root index and coupling per row.  Every step touches a
+            rows x K array, so callers pass blocks of about
+            RANK_ONE_BLOCK / K rows.
+
+    Returns:
+        (pole, offset) per row; the root is levels[pole] + offset.
+
+    Raises:
+        NumericalRangeError: When a root has not converged after
+            RANK_ONE_MAX_STEPS steps.
     """
     inner = k > 0
     # Model poles: the two bracketing poles, or poles 0 and 1 for root 0.
@@ -295,7 +267,7 @@ def _rank_one_roots(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
         dist *= unit[:, None]
         np.square(dist, out=dist)
         cuts = np.empty(2 * active.size, dtype=np.intp)
-        cuts[0::2] = here * gaps.shape[0]
+        cuts[0::2] = here * gaps.shape[1]
         cuts[1::2] = cuts[0::2] + rgt
         slopes = np.add.reduceat(dist.ravel(), cuts).reshape(-1, 2)
         lo_a = np.where(f < 0, at, lo[active])
@@ -365,12 +337,13 @@ def gap_scan(
 ) -> GapCurve:
     """Track the two lowest eigenvalues across the schedule.
 
-    With the default driver, H(s) = diag(a) - c |u><u| for
-    a = c + s * D and c = (1 - s) * scale.  The lowest eigenvalue is the
-    secular root in (a_0 - c, a_0); the next is the root in (a_0, a_1),
-    or a_0 itself when the minimum of D is tied.  Each sample costs
-    O(K) per bisection step for K distinct values of D, and s = 0 and
-    s = 1 are exact closed forms.  Other drivers take one dense
+    With the default driver, H(s) = c * I + s * (diag(D) - g |u><u|) for
+    c = (1 - s) * scale and g = c / s.  Over the K distinct values of D,
+    the lowest eigenvalue is c + s times secular root 0, and the next is
+    c + s times root 1, or c + s * min(D) itself when the minimum of D is
+    tied.  Both roots are measured from the two lowest levels, so a sample
+    costs O(K) per root-finding step and no K x K array is formed; s = 0
+    and s = 1 are exact closed forms.  Other drivers take one dense
     eigensolve, O(N^3), per sample.
 
     Args:
@@ -386,24 +359,34 @@ def gap_scan(
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     if h0.is_default:
         levels, counts = np.unique(hw.diagonal, return_counts=True)
-        offsets = levels - levels[0]
         coupling = (1.0 - grid) * h0.scale
         pole0 = coupling + grid * levels[0]
         # Exact where every pole coincides (s = 0, or one level) and at
-        # s = 1, where the coupling vanishes; a tied minimum keeps a_0.
+        # s = 1, where the coupling vanishes; a tied minimum keeps pole0.
         lambda0 = pole0 - coupling
         lambda1 = pole0.copy()
         if levels.size > 1:
-            inner = (grid > 0.0) & (grid < 1.0)
-            s, c = grid[inner], coupling[inner]
+            roots = 2 if counts[0] == 1 else 1
+            inner = np.flatnonzero((grid > 0.0) & (grid < 1.0))
+            sample = np.repeat(inner, roots)
+            k = np.tile(np.arange(roots), inner.size)
             weights = counts / hw.dim
-            lambda0[inner] = pole0[inner] + secular_roots(
-                offsets, weights, s, 1.0 / c, -c, 0.0
-            )
-            if counts[0] == 1:
-                lambda1[inner] += secular_roots(
-                    offsets, weights, s, 1.0 / c, 0.0, s * offsets[1]
-                )
+            z, total = np.sqrt(weights), weights.sum()
+            # Roots 0 and 1 are measured from poles 0 and 1 only.
+            gaps = levels - levels[:2, None]
+            energies = np.empty(k.size)
+            step = max(1, RANK_ONE_BLOCK // levels.size)
+            for start in range(0, k.size, step):
+                rows = slice(start, start + step)
+                at = sample[rows]
+                g = coupling[at] / grid[at]
+                pole, offset = secular_roots(gaps, z, total, k[rows], g)
+                # The root's distance from the lowest level, scaled, is added
+                # to pole0 last, so the large term is rounded once.
+                energies[rows] = pole0[at] + grid[at] * (gaps[0, pole] + offset)
+            lambda0[inner] = energies[::roots]
+            if roots == 2:
+                lambda1[inner] = energies[1::2]
                 lambda1[grid == 1.0] = levels[1]
     else:
         import scipy.linalg
@@ -449,11 +432,12 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
 
     Under the linear schedule this is the norm of the (constant) schedule
     derivative of the interpolation, the quantity runtime estimates need.
-    With the default driver the difference is diag(D - scale) +
-    scale |u><u|, and its extreme eigenvalues are two secular roots: the
-    largest in (e_max, e_max + scale) - scale, the smallest in
-    (e_0, e_1) - scale, or e_0 - scale itself when the minimum of D is
-    tied.  Other drivers take one dense eigvalsh, O(N^3).
+    With the default driver the difference is diag(D) + scale |u><u|
+    - scale * I.  Over the K distinct values e of D, its smallest
+    eigenvalue is secular root 1 with coupling -scale, in (e_0, e_1), less
+    scale, or e_0 - scale itself when the minimum of D is tied; its largest
+    lies in (e_max, e_max + scale) - scale.  Each is one O(K) root search.
+    Other drivers take one dense eigvalsh, O(N^3).
     """
     if h0.dim != hw.dim:
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
@@ -464,15 +448,25 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
         return float(np.max(np.abs(vals)))
     scale = h0.scale
     levels, counts = np.unique(hw.diagonal, return_counts=True)
-    offsets = levels - levels[0]
-    lo, hi = [offsets[-1]], [offsets[-1] + scale]
+    if levels.size == 1:
+        return float(max(abs(levels[0]), abs(levels[0] - scale)))
+    weights = counts / hw.dim
+    z, total = np.sqrt(weights), weights.sum()
+    bottom = levels[0]
     if counts[0] == 1:
-        lo.append(0.0)
-        hi.append(offsets[1])
-    roots = secular_roots(offsets, counts / hw.dim, 1.0, -1.0 / scale, lo, hi)
-    base = levels[0] - scale
-    bottom = base + roots[1] if counts[0] == 1 else base
-    return float(max(abs(base + roots[0]), abs(bottom)))
+        pole, offset = secular_roots(
+            levels - levels[:2, None], z, total, np.array([1]), np.array([-scale])
+        )
+        bottom = levels[pole[0]] + offset[0]
+    # Root 0 needs a positive coupling, so the top root of
+    # diag(e) + scale |z><z| is found as minus root 0 of
+    # diag(-e) - scale |z><z|, whose levels increase when reversed.
+    flip = -levels[::-1]
+    pole, offset = secular_roots(
+        flip - flip[:2, None], z[::-1], total, np.array([0]), np.array([scale])
+    )
+    top = -(flip[pole[0]] + offset[0])
+    return float(max(abs(top - scale), abs(bottom - scale)))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from moqa import (
     NumericalRangeError,
     build_final,
     build_initial,
+    builtin_instance,
     commutes,
     degeneracy_check,
     delta_max,
@@ -33,6 +34,7 @@ from moqa import (
     uniform_grid,
 )
 from moqa import hamiltonians, spectral
+from moqa.cli import EXIT_NUMERICAL, main
 from moqa.spectral import GAP_CSV_HEADER, RESIDUAL_REL_TOL
 
 from conftest import dense_driver, dense_oracle, make_instance, random_instance
@@ -443,3 +445,41 @@ def test_rank_one_eigh_iteration_cap_raises(monkeypatch):
     with pytest.raises(NumericalRangeError, match="did not converge") as info:
         spectral.rank_one_eigh(levels, np.full(16, 1.0 / 16), [8.0])
     assert info.value.exit_code == 4
+
+
+def test_secular_iteration_cap_fails_gap_scan_and_delta_max(monkeypatch, tmp_path, capsys):
+    # A root that has not converged is a numerical failure, never a guess.
+    monkeypatch.setattr(spectral, "RANK_ONE_MAX_STEPS", 2)
+    h0 = build_initial(7)
+    hw = build_final(builtin_instance(), Linearization.pair(0.57))
+    for call in (lambda: gap_scan(h0, hw, points=16), lambda: delta_max(h0, hw)):
+        with pytest.raises(NumericalRangeError, match="did not converge") as info:
+            call()
+        assert info.value.exit_code == 4
+    curve, out = tmp_path / "c.csv", tmp_path / "scan.json"
+    assert main(["gap-scan", "--builtin", "--w", "0.57", "--points", "16",
+                 "--curve", str(curve), "--output", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not curve.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("scale", [8.0, 0.25])
+@pytest.mark.parametrize("tied", [False, True], ids=["unique_min", "tied_min"])
+@pytest.mark.parametrize("levels", [
+    pytest.param(case.values[0], id=case.id) for case in _kernel_cases()
+    if case.id in ("1e100", "1e200", "decades", "ulps", "tiny_gaps")
+])
+def test_default_driver_matches_dense_oracle_at_extreme_ranges(levels, tied, scale):
+    # n = 7 diagonals over level sets that span hundreds of decades, sit a
+    # few ulps apart, or are 1e-300 apart, with the minimum once or twice.
+    rng = np.random.default_rng(levels.size)
+    low = levels[:1].repeat(2 if tied else 1)
+    diag = rng.permutation(np.r_[low, rng.choice(levels[1:], 128 - low.size)])
+    h0 = build_initial(7, scale=scale)
+    hw = DiagonalHamiltonian(diag)
+    curve = gap_scan(h0, hw, points=17)
+    ref, dmax, _ = dense_oracle(dense_driver(128, scale), diag, curve.s_values)
+    tol = 1e-13 * ref[:, 2]
+    assert np.all(np.abs(curve.lambda0 - ref[:, 0]) <= tol)
+    assert np.all(np.abs(curve.lambda1 - ref[:, 1]) <= tol)
+    assert abs(delta_max(h0, hw) - dmax) <= 1e-13 * dmax
