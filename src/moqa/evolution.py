@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, NormalizationError
-from .errors import check_count
+from .errors import NumericalRangeError, check_count
 from .hamiltonians import (
     DiagonalHamiltonian,
     InitialHamiltonian,
@@ -104,6 +104,13 @@ def evolve(
     if total_time < 0 or not np.isfinite(total_time):
         raise ConfigurationError(f"total_time must be finite and >= 0, got {total_time}")
     steps = check_count("steps", steps, 1)
+    dt = total_time / steps
+    # Every eigenvalue of H(s) lies in [0, max(scale * max(h), max(D))], so
+    # a finite dt times that bound keeps every slice's phases finite.
+    bound = max(h0.scale * float(h0.h_values.max()), float(hw.diagonal.max()))
+    if not np.isfinite(dt * bound):
+        raise NumericalRangeError(f"slice phases overflow: time step {dt!r} times "
+                                  f"energy bound {bound!r} is not finite")
     psi = initial_ground_state(int(h0.dim).bit_length() - 1)
     # The drift starts from the initial state's own rounding error.
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
@@ -119,11 +126,10 @@ def evolve(
         )
 
     if total_time > 0 and h0.is_default:
-        psi, drift = _evolve_levels(h0.scale, hw.diagonal, total_time, steps, drift)
+        psi, drift = _evolve_levels(h0.scale, hw.diagonal, dt, steps, drift)
     elif total_time > 0:
         import scipy.linalg
 
-        dt = total_time / steps
         for k in range(steps):
             s_mid = (k + 0.5) / steps
             mat = interpolation_dense(h0, hw, s_mid)
@@ -151,7 +157,7 @@ def evolve(
     )
 
 
-def _evolve_levels(scale, diagonal, total_time, steps, drift):
+def _evolve_levels(scale, diagonal, dt, steps, drift):
     """The default-driver schedule, run exactly in the level basis.
 
     The uniform start state is constant on each set of equal diagonal
@@ -176,7 +182,6 @@ def _evolve_levels(scale, diagonal, total_time, steps, drift):
     counts = np.bincount(group, weights=counts)
     weights = counts / diagonal.size
     psi = np.sqrt(weights).astype(np.complex128)
-    dt = total_time / steps
     s_mid = (np.arange(steps) + 0.5) / steps
     coupling = (1.0 - s_mid) * scale
     block = max(1, EVOLVE_BLOCK // levels.size**2)

@@ -101,15 +101,11 @@ class InitialHamiltonian:
     def dense(self) -> np.ndarray:
         """Real symmetric matrix of the operator in the computational basis.
 
-        The default penalty pattern short-circuits to
-        scale * (identity - uniform projector); the general case conjugates
-        the penalty diagonal with the orthonormal Hadamard transform.
+        The penalty diagonal conjugated with the orthonormal Hadamard
+        transform, O(N^2 log N).  Every caller in the package takes its
+        rank-one path for the default penalties first, so this serves
+        other penalties and the tests.
         """
-        dim = self.dim
-        if self.is_default:
-            out = np.full((dim, dim), -self.scale / dim)
-            np.fill_diagonal(out, self.scale * (1.0 - 1.0 / dim))
-            return out
         mat = hadamard_transform(hadamard_transform(np.diag(self.h_values)).T)
         mat *= self.scale
         return 0.5 * (mat + mat.T)

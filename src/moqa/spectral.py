@@ -9,9 +9,10 @@ With the default driver scale * (I - |u><u|), where u is the uniform
 superposition, every operator analysed here is a diagonal plus a rank-one
 term.  Its eigenvalues are then roots of a secular equation over the
 distinct diagonal levels (Golub 1973).  secular_roots finds them by a
-rational iteration inside a kept bracket, without forming a matrix; the
-gap scan, delta_max and rank_one_eigh all use it.  Other drivers take the
-dense path.
+rational iteration inside a kept bracket, without forming a matrix.  It
+takes the levels and weights, and it alone knows which level differences
+the iteration reads and how its rows are blocked; the gap scan, delta_max
+and rank_one_eigh each call it once.  Other drivers take the dense path.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ GAP_CSV_HEADER = "s,lambda0,lambda1,gap"
 RANK_ONE_STEP_TOL = 1e-9
 #: Steps after which secular_roots gives up on a root that has not converged.
 RANK_ONE_MAX_STEPS = 64
-#: Callers of secular_roots take rows in blocks of about this many elements
-#: divided by the number of distinct levels, so its temporaries stay bounded.
+#: secular_roots, and the weight and vector loops of rank_one_eigh, take
+#: their rows in blocks of about this many elements divided by the number of
+#: distinct levels, so their temporaries stay bounded.
 RANK_ONE_BLOCK = 1 << 17
 
 
@@ -138,9 +140,10 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
     Returns:
         (values, vectors): ascending eigenvalues, shape (S, K), and
         orthonormal eigenvectors in the columns of each vectors[s], shape
-        (S, K, K).  Rows (problem, root) go in blocks of about
-        RANK_ONE_BLOCK / K, so the temporaries beside the result stay
-        within a few K x K arrays.
+        (S, K, K).  The weights and vectors are formed in blocks of about
+        RANK_ONE_BLOCK / K rows (problem, root), and the level differences
+        only after the roots are found, so the temporaries beside the
+        result stay within a few K x K arrays.
 
     Raises:
         NumericalRangeError: When a root has not converged after
@@ -154,15 +157,13 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
     size, count = levels.size, couplings.size
     if size == 1:
         return levels - couplings[:, None] * weights, np.ones((count, 1, 1))
-    z, total = np.sqrt(weights), weights.sum()
     rank = np.tile(np.arange(size), count)
     problem = np.repeat(np.arange(count), size)
+    poles, offsets = secular_roots(levels, weights, rank, couplings[problem])
+    values = levels[poles] + offsets
     # gaps[p, j] = levels[j] - levels[p], each rounded once.
     gaps = levels - levels[:, None]
-    values = np.empty(count * size)
     zhat2 = np.ones((count, size))
-    poles = np.empty(count * size, dtype=np.intp)
-    offsets = np.empty(count * size)
     step = max(1, RANK_ONE_BLOCK // size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # The weights are recomputed as a product over roots of
@@ -174,16 +175,12 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
         np.reciprocal(inv_far, out=inv_far)
         for start in range(0, rank.size, step):
             rows = slice(start, start + step)
-            k, g = rank[rows], couplings[problem[rows]]
-            pole, offset = secular_roots(gaps, z, total, k, g)
-            poles[rows], offsets[rows] = pole, offset
-            values[rows] = levels[pole] + offset
-            ratio = gaps[pole] - offset[:, None]
+            k, owner = rank[rows], problem[rows]
+            ratio = gaps[poles[rows]] - offsets[rows, None]
             first = k == 0
-            head = ratio[first] / (gaps[0] + g[first, None])
+            head = ratio[first] / (gaps[0] + couplings[owner[first], None])
             ratio *= inv_far[np.maximum(k - 1, 0)]
             ratio[first] = head
-            owner = problem[rows]
             cuts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
             zhat2[owner[cuts]] *= np.multiply.reduceat(ratio, cuts, axis=0)
         # Root 0 was paired with g + levels - levels[0] instead of g.
@@ -207,29 +204,27 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
     return values.reshape(count, size), vectors
 
 
-# A degenerate model, such as one at an exact zero of f, gives inf or NaN
-# candidates, which the bracket tests reject.
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def secular_roots(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
-    """Root k of sum_j z_j**2 / (levels_j - x) = 1 / g, one per row.
+def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
+    """Root k of sum_j weights_j / (levels_j - x) = 1 / g, one per row.
 
-    These are the eigenvalues of diag(levels) - g * |z><z|.  Root k > 0
-    lies between the poles levels[k - 1] and levels[k], for either sign of
-    g; root 0 lies in (levels[0] - g * total, levels[0]) and needs g > 0.
-    Each root is held as an offset from its nearer pole, picked from the
-    sign of the secular function at the interval's midpoint, and found by
-    the two-pole rational model of Bunch, Nielsen & Sorensen (1978), the
-    "middle way" of LAPACK's dlaed4 (Li 1993), inside a kept bracket: a
-    model step that leaves the bracket is replaced by bisection.
+    These are the eigenvalues of diag(levels) - g * |z><z| with
+    z_j**2 = weights_j.  Root k > 0 lies between the poles levels[k - 1]
+    and levels[k], for either sign of g; root 0 lies in
+    (levels[0] - g * sum(weights), levels[0]) and needs g > 0.  Each root
+    is held as an offset from its nearer pole, picked from the sign of the
+    secular function at the interval's midpoint, and found by the two-pole
+    rational model of Bunch, Nielsen & Sorensen (1978), the "middle way" of
+    LAPACK's dlaed4 (Li 1993), inside a kept bracket: a model step that
+    leaves the bracket is replaced by bisection.  Every step of a root
+    costs O(K).  The level differences are formed once per call, for the
+    poles 0 .. max(1, max(k)) only, so roots 0 and 1 need two rows of K.
 
     Args:
-        gaps: Level differences gaps[p, j] = levels[j] - levels[p], each
-            rounded once, for the poles p = 0 .. max(1, max(k)).
-        z: Square roots of the level weights, shape (K,).
-        total: Sum of the weights.
-        k, g: Root index and coupling per row.  Every step touches a
-            rows x K array, so callers pass blocks of about
-            RANK_ONE_BLOCK / K rows.
+        levels: Strictly increasing diagonal, shape (K,), K >= 2.
+        weights: Positive weights, shape (K,).
+        k, g: Root index and coupling per row, any number of rows.  The
+            rows go in blocks of about RANK_ONE_BLOCK / K, so the
+            temporaries stay bounded.
 
     Returns:
         (pole, offset) per row; the root is levels[pole] + offset.
@@ -238,6 +233,25 @@ def secular_roots(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
         NumericalRangeError: When a root has not converged after
             RANK_ONE_MAX_STEPS steps.
     """
+    pole, offset = np.empty(k.size, dtype=np.intp), np.empty(k.size)
+    if k.size == 0:
+        return pole, offset
+    # gaps[p, j] = levels[j] - levels[p], each rounded once, for the poles
+    # p = 0 .. max(1, max(k)) that the rows' brackets touch.
+    gaps = levels - levels[: max(1, int(k.max())) + 1, None]
+    z, total = np.sqrt(weights), weights.sum()
+    step = max(1, RANK_ONE_BLOCK // levels.size)
+    for start in range(0, k.size, step):
+        rows = slice(start, start + step)
+        pole[rows], offset[rows] = _secular_block(gaps, z, total, k[rows], g[rows])
+    return pole, offset
+
+
+# A degenerate model, such as one at an exact zero of f, gives inf or NaN
+# candidates, which the bracket tests reject.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _secular_block(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
+    """secular_roots on one block of rows, over the pole rows of gaps."""
     inner = k > 0
     # Model poles: the two bracketing poles, or poles 0 and 1 for root 0.
     left, right = np.maximum(k - 1, 0), np.maximum(k, 1)
@@ -368,22 +382,12 @@ def gap_scan(
         if levels.size > 1:
             roots = 2 if counts[0] == 1 else 1
             inner = np.flatnonzero((grid > 0.0) & (grid < 1.0))
-            sample = np.repeat(inner, roots)
+            at = np.repeat(inner, roots)
             k = np.tile(np.arange(roots), inner.size)
-            weights = counts / hw.dim
-            z, total = np.sqrt(weights), weights.sum()
-            # Roots 0 and 1 are measured from poles 0 and 1 only.
-            gaps = levels - levels[:2, None]
-            energies = np.empty(k.size)
-            step = max(1, RANK_ONE_BLOCK // levels.size)
-            for start in range(0, k.size, step):
-                rows = slice(start, start + step)
-                at = sample[rows]
-                g = coupling[at] / grid[at]
-                pole, offset = secular_roots(gaps, z, total, k[rows], g)
-                # The root's distance from the lowest level, scaled, is added
-                # to pole0 last, so the large term is rounded once.
-                energies[rows] = pole0[at] + grid[at] * (gaps[0, pole] + offset)
+            pole, offset = secular_roots(levels, counts / hw.dim, k, coupling[at] / grid[at])
+            # The root's distance from the lowest level, scaled, is added to
+            # pole0 last, so the large term is rounded once.
+            energies = pole0[at] + grid[at] * ((levels[pole] - levels[0]) + offset)
             lambda0[inner] = energies[::roots]
             if roots == 2:
                 lambda1[inner] = energies[1::2]
@@ -451,20 +455,15 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
     if levels.size == 1:
         return float(max(abs(levels[0]), abs(levels[0] - scale)))
     weights = counts / hw.dim
-    z, total = np.sqrt(weights), weights.sum()
     bottom = levels[0]
     if counts[0] == 1:
-        pole, offset = secular_roots(
-            levels - levels[:2, None], z, total, np.array([1]), np.array([-scale])
-        )
+        pole, offset = secular_roots(levels, weights, np.array([1]), np.array([-scale]))
         bottom = levels[pole[0]] + offset[0]
     # Root 0 needs a positive coupling, so the top root of
     # diag(e) + scale |z><z| is found as minus root 0 of
     # diag(-e) - scale |z><z|, whose levels increase when reversed.
     flip = -levels[::-1]
-    pole, offset = secular_roots(
-        flip - flip[:2, None], z[::-1], total, np.array([0]), np.array([scale])
-    )
+    pole, offset = secular_roots(flip, weights[::-1], np.array([0]), np.array([scale]))
     top = -(flip[pole[0]] + offset[0])
     return float(max(abs(top - scale), abs(bottom - scale)))
 

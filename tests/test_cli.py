@@ -648,6 +648,17 @@ def test_evolve_negative_seed_rejected_before_the_schedule(
     assert not out.exists()
 
 
+def test_evolve_overflowing_phases_is_numerical_failure(tmp_path, capsys):
+    out, hist = tmp_path / "evo.json", tmp_path / "hist.csv"
+    code = main(["evolve", "--builtin", "--w", "0.5", "--T", "1e308", "--steps", "1",
+                 "--histogram", str(hist), "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.out == ""
+    assert not out.exists() and not hist.exists()
+
+
 def test_evolve_no_shots_no_histogram(tmp_path, tie_csv):
     code, payload = run_json(
         tmp_path, "evolve", tie_csv, "--w", "0.25", "--T", "5", "--steps", "16"

@@ -20,6 +20,7 @@ from moqa import (
     InitialHamiltonian,
     Linearization,
     NormalizationError,
+    NumericalRangeError,
     build_final,
     build_initial,
     evolve,
@@ -145,6 +146,22 @@ def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatc
     h0, hw = system
     with pytest.raises(ConfigurationError):
         evolve(h0, hw, 1.0, steps=4, tie_tol=tol)
+
+
+@pytest.mark.parametrize("h_values", [None, [0.0, 1.0, 2.0, 3.0]], ids=["default", "nondefault"])
+@pytest.mark.parametrize("total_time, steps", [(1e308, 1), (1e307, 3)])
+def test_overflowing_phases_rejected_before_the_schedule(monkeypatch, h_values, total_time,
+                                                         steps):
+    def slice_ran(*args):
+        raise AssertionError("a schedule slice ran")
+
+    monkeypatch.setattr(evolution, "interpolation_dense", slice_ran)
+    monkeypatch.setattr(evolution, "rank_one_eigh", slice_ran)
+    h0 = build_initial(2, h_values=h_values)
+    hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 400.0]))
+    with pytest.raises(NumericalRangeError, match="not finite") as info:
+        evolve(h0, hw, total_time, steps=steps)
+    assert info.value.exit_code == 4
 
 
 def test_default_driver_evolution_skips_dense_solvers(monkeypatch, rng):

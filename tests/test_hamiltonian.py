@@ -106,11 +106,11 @@ def test_custom_spectrum_requires_unit_floor():
         build_initial(1, h_values=[0.0, 0.5])
 
 
-def test_custom_default_profile_matches_fast_path():
-    n = 2
-    ladder = build_initial(n, scale=5.0, h_values=[0.0, 1.0, 1.0, 1.0])
-    fast = build_initial(n, scale=5.0)
-    assert np.allclose(ladder.dense(), fast.dense(), rtol=0, atol=1e-12)
+def test_default_driver_dense_matches_independent_hadamard():
+    for n in (1, 2, 5):
+        h0 = build_initial(n, scale=5.0)
+        expected = dense_driver(h0.dim, 5.0)
+        assert np.allclose(h0.dense(), expected, rtol=0, atol=1e-12)
 
 
 def test_custom_spectrum_eigenvalues():

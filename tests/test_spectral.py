@@ -463,6 +463,32 @@ def test_secular_iteration_cap_fails_gap_scan_and_delta_max(monkeypatch, tmp_pat
     assert not curve.exists() and not out.exists()
 
 
+def test_secular_roots_accepts_zero_rows():
+    pole, offset = spectral.secular_roots(
+        np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([], dtype=np.intp), np.array([])
+    )
+    assert pole.shape == offset.shape == (0,)
+
+
+@pytest.mark.parametrize("points", [2, 3])
+@pytest.mark.parametrize("diag", [
+    pytest.param(np.array([3.0, 1.0, 2.0, 7.0]), id="unique_min"),
+    pytest.param(np.array([3.0, 1.0, 1.0, 7.0]), id="tied_min"),
+    pytest.param(np.full(4, 2.5), id="one_level"),
+])
+def test_default_driver_endpoints_only_and_one_level(diag, points):
+    # points = 2 leaves no interior sample, so the kernel gets no rows.
+    h0 = build_initial(2, scale=3.0)
+    hw = DiagonalHamiltonian(diag)
+    curve = gap_scan(h0, hw, points=points)
+    ref, dmax, _ = dense_oracle(dense_driver(4, 3.0), diag, curve.s_values)
+    tol = 1e-13 * ref[:, 2]
+    assert np.all(np.abs(curve.lambda0 - ref[:, 0]) <= tol)
+    assert np.all(np.abs(curve.lambda1 - ref[:, 1]) <= tol)
+    assert np.all(np.abs(curve.gap - (ref[:, 1] - ref[:, 0])) <= tol)
+    assert abs(delta_max(h0, hw) - dmax) <= 1e-13 * dmax
+
+
 @pytest.mark.parametrize("scale", [8.0, 0.25])
 @pytest.mark.parametrize("tied", [False, True], ids=["unique_min", "tied_min"])
 @pytest.mark.parametrize("levels", [
