@@ -95,7 +95,9 @@ class GapCurve:
         s_values: Sample points in [0, 1], strictly increasing.
         lambda0: Smallest eigenvalue at each sample.
         lambda1: Second smallest eigenvalue at each sample.
-        gap: lambda1 - lambda0, nonnegative by construction.
+        gap: lambda1 - lambda0, nonnegative by construction; with the
+            default driver it is formed before the large energy terms are
+            added (see gap_scan), so it keeps its relative accuracy.
     """
 
     s_values: np.ndarray
@@ -140,10 +142,9 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
     Returns:
         (values, vectors): ascending eigenvalues, shape (S, K), and
         orthonormal eigenvectors in the columns of each vectors[s], shape
-        (S, K, K).  The weights and vectors are formed in blocks of about
-        RANK_ONE_BLOCK / K rows (problem, root), and the level differences
-        only after the roots are found, so the temporaries beside the
-        result stay within a few K x K arrays.
+        (S, K, K).  The level differences are formed after the roots, and
+        the weights and vectors in blocks of RANK_ONE_BLOCK / K rows, so
+        the temporaries beside the result stay within a few K x K arrays.
 
     Raises:
         NumericalRangeError: When a root has not converged after
@@ -236,8 +237,7 @@ def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
     pole, offset = np.empty(k.size, dtype=np.intp), np.empty(k.size)
     if k.size == 0:
         return pole, offset
-    # gaps[p, j] = levels[j] - levels[p], each rounded once, for the poles
-    # p = 0 .. max(1, max(k)) that the rows' brackets touch.
+    # gaps[p, j] = levels[j] - levels[p], each rounded once.
     gaps = levels - levels[: max(1, int(k.max())) + 1, None]
     z, total = np.sqrt(weights), weights.sum()
     step = max(1, RANK_ONE_BLOCK // levels.size)
@@ -356,9 +356,12 @@ def gap_scan(
     the lowest eigenvalue is c + s times secular root 0, and the next is
     c + s times root 1, or c + s * min(D) itself when the minimum of D is
     tied.  Both roots are measured from the two lowest levels, so a sample
-    costs O(K) per root-finding step and no K x K array is formed; s = 0
-    and s = 1 are exact closed forms.  Other drivers take one dense
-    eigensolve, O(N^3), per sample.
+    costs O(K) per root-finding step and no K x K array is formed.  The
+    gap is s times the difference of their distances from the lowest
+    level: it never meets the large energy terms, so a constant shift of D
+    that is exact in float64 leaves it bit-identical.  s = 0 and s = 1 are
+    exact closed forms.  Other drivers take one dense eigensolve, O(N^3),
+    per sample.
 
     Args:
         h0: Driver Hamiltonian.
@@ -379,29 +382,30 @@ def gap_scan(
         # s = 1, where the coupling vanishes; a tied minimum keeps pole0.
         lambda0 = pole0 - coupling
         lambda1 = pole0.copy()
+        roots = 2 if counts[0] == 1 else 1
+        lambda1[-1] = levels[roots - 1]
+        gap = lambda1 - lambda0
         if levels.size > 1:
-            roots = 2 if counts[0] == 1 else 1
-            inner = np.flatnonzero((grid > 0.0) & (grid < 1.0))
-            at = np.repeat(inner, roots)
-            k = np.tile(np.arange(roots), inner.size)
-            pole, offset = secular_roots(levels, counts / hw.dim, k, coupling[at] / grid[at])
-            # The root's distance from the lowest level, scaled, is added to
-            # pole0 last, so the large term is rounded once.
-            energies = pole0[at] + grid[at] * ((levels[pole] - levels[0]) + offset)
-            lambda0[inner] = energies[::roots]
-            if roots == 2:
-                lambda1[inner] = energies[1::2]
-                lambda1[grid == 1.0] = levels[1]
+            s = grid[1:-1, None]
+            k = np.tile(np.arange(roots), s.size)
+            g = np.repeat(coupling[1:-1] / s[:, 0], roots)
+            pole, offset = secular_roots(levels, counts / hw.dim, k, g)
+            # Distances from the lowest level, zero for a tied second root;
+            # each energy adds the large pole0 last, so it is rounded once.
+            dist = np.zeros((s.size, 2))
+            dist[:, :roots] = ((levels[pole] - levels[0]) + offset).reshape(-1, roots)
+            lambda0[1:-1], lambda1[1:-1] = (pole0[1:-1, None] + s * dist).T
+            gap[1:-1] = s[:, 0] * (dist[:, 1] - dist[:, 0])
     else:
         import scipy.linalg
 
-        lambda0 = np.empty(grid.size)
-        lambda1 = np.empty(grid.size)
+        lambda0, lambda1 = np.empty((2, grid.size))
         for k, s in enumerate(grid):
             mat = interpolation_dense(h0, hw, float(s))
             vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=(0, 1))
             lambda0[k], lambda1[k] = float(vals[0]), float(vals[1])
-    return GapCurve(grid, lambda0, lambda1, lambda1 - lambda0)
+        gap = lambda1 - lambda0
+    return GapCurve(grid, lambda0, lambda1, gap)
 
 
 @dataclass(frozen=True)
@@ -446,10 +450,7 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
     if h0.dim != hw.dim:
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     if not h0.is_default:
-        diff = -h0.dense()
-        diff[np.diag_indices(hw.dim)] += hw.diagonal
-        vals = np.linalg.eigvalsh(diff)
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(np.linalg.eigvalsh(np.diag(hw.diagonal) - h0.dense()))))
     scale = h0.scale
     levels, counts = np.unique(hw.diagonal, return_counts=True)
     if levels.size == 1:

@@ -463,6 +463,24 @@ def test_secular_iteration_cap_fails_gap_scan_and_delta_max(monkeypatch, tmp_pat
     assert not curve.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["unique_min", "tied_min"])
+def test_gap_is_bit_identical_under_an_exact_diagonal_shift(tied):
+    # Multiples of 1/128 below 2**10 stay exact when 2**20 is added, so the
+    # shifted diagonal has the same level differences and the same gaps,
+    # though its energies are a thousand times larger.
+    rng = np.random.default_rng(10)
+    diag = rng.integers(0, 1 << 17, 1024) / 128.0
+    if tied:
+        diag[np.argsort(diag)[1]] = diag.min()
+    shifted = diag + 2.0**20
+    assert np.array_equal(shifted - 2.0**20, diag)
+    h0 = build_initial(10)
+    curve = gap_scan(h0, DiagonalHamiltonian(diag), points=32)
+    moved = gap_scan(h0, DiagonalHamiltonian(shifted), points=32)
+    assert moved.gap.tobytes() == curve.gap.tobytes()
+    assert np.all(curve.gap[:-1] > 0.0)
+
+
 def test_secular_roots_accepts_zero_rows():
     pole, offset = spectral.secular_roots(
         np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([], dtype=np.intp), np.array([])
