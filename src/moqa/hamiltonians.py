@@ -101,10 +101,9 @@ class InitialHamiltonian:
     def dense(self) -> np.ndarray:
         """Real symmetric matrix of the operator in the computational basis.
 
-        The penalty diagonal conjugated with the orthonormal Hadamard
-        transform, O(N^2 log N).  Every caller in the package takes its
-        rank-one path for the default penalties first, so this serves
-        other penalties and the tests.
+        The penalty diagonal conjugated with the Hadamard transform.  The
+        package builds it only for other than default penalties: with the
+        default ones every caller takes its rank-one path first.
         """
         mat = hadamard_transform(hadamard_transform(np.diag(self.h_values)).T)
         mat *= self.scale

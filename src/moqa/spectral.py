@@ -223,9 +223,8 @@ def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
     Args:
         levels: Strictly increasing diagonal, shape (K,), K >= 2.
         weights: Positive weights, shape (K,).
-        k, g: Root index and coupling per row, any number of rows.  The
-            rows go in blocks of about RANK_ONE_BLOCK / K, so the
-            temporaries stay bounded.
+        k, g: Root index and coupling per row, any number of rows; they go
+            in blocks of RANK_ONE_BLOCK / K, so the temporaries stay bounded.
 
     Returns:
         (pole, offset) per row; the root is levels[pole] + offset.
@@ -274,7 +273,8 @@ def _secular_block(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
         here = np.arange(active.size)
         d_left, d_right = dist[here, lft], dist[here, rgt]
         np.divide(z, dist, out=dist)
-        f = dist @ z - target[active]
+        # Per row, since BLAS matrix-vector products round by row position.
+        f = np.matmul(dist[:, None, :], z)[:, 0] - target[active]
         # Lengths in units of the distance to the nearer model pole keep the
         # squared terms in range when the levels span hundreds of decades.
         unit = np.minimum(np.abs(d_left), np.abs(d_right))

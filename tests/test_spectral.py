@@ -507,6 +507,34 @@ def test_default_driver_endpoints_only_and_one_level(diag, points):
     assert abs(delta_max(h0, hw) - dmax) <= 1e-13 * dmax
 
 
+@pytest.mark.parametrize("block", [1, 1 << 10])
+def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
+    h0 = build_initial(7)
+    unique = build_final(builtin_instance(), Linearization.pair(0.57))
+    tied = unique.diagonal.copy()
+    tied[np.argsort(tied)[1]] = tied.min()
+    problems = [(h0, unique), (h0, DiagonalHamiltonian(tied))]
+    (levels, weights), = [case.values for case in _kernel_cases() if case.id == "unit"]
+    couplings = np.array([1e-3, 0.5, 8.0, 1e4])
+
+    def results():
+        curves = [gap_scan(*pair, points=33) for pair in problems]
+        return curves, [delta_max(*pair) for pair in problems], spectral.rank_one_eigh(
+            levels, weights, couplings)
+
+    curves, dmax, (values, vectors) = results()
+    monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
+    new_curves, new_dmax, (new_values, new_vectors) = results()
+    for curve, new in zip(curves, new_curves):
+        for name in ("lambda0", "lambda1", "gap"):
+            assert getattr(new, name).tobytes() == getattr(curve, name).tobytes()
+    assert new_dmax == dmax
+    # The weight products regroup across blocks, so only the vectors move.
+    norm = np.max(np.abs(values), axis=1, keepdims=True)
+    assert np.max(np.abs(new_values - values) / norm) <= 1e-14
+    assert np.max(np.abs(new_vectors - vectors)) <= 1e-14
+
+
 @pytest.mark.parametrize("scale", [8.0, 0.25])
 @pytest.mark.parametrize("tied", [False, True], ids=["unique_min", "tied_min"])
 @pytest.mark.parametrize("levels", [
