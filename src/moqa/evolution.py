@@ -131,7 +131,9 @@ def evolve(
         import scipy.linalg
 
         for k in range(steps):
-            vals, vecs = scipy.linalg.eigh(interpolation_dense(h0, hw, (k + 0.5) / steps))
+            s_mid = (k + 0.5) / steps
+            mat = interpolation_dense(h0, hw, s_mid)
+            vals, vecs = scipy.linalg.eigh(mat)
             phases = np.exp(-1j * dt * vals)
             psi = vecs @ (phases * (vecs.conj().T @ psi))
             drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))

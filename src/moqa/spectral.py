@@ -234,10 +234,8 @@ def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
             RANK_ONE_MAX_STEPS steps.
     """
     pole, offset = np.empty(k.size, dtype=np.intp), np.empty(k.size)
-    if k.size == 0:
-        return pole, offset
     # gaps[p, j] = levels[j] - levels[p], each rounded once.
-    gaps = levels - levels[: max(1, int(k.max())) + 1, None]
+    gaps = levels - levels[: k.max(initial=1) + 1, None]
     z, total = np.sqrt(weights), weights.sum()
     step = max(1, RANK_ONE_BLOCK // levels.size)
     for start in range(0, k.size, step):
@@ -399,7 +397,8 @@ def gap_scan(
     else:
         import scipy.linalg
 
-        lambda0, lambda1 = np.empty((2, grid.size))
+        lambda0 = np.empty(grid.size)
+        lambda1 = np.empty(grid.size)
         for k, s in enumerate(grid):
             mat = interpolation_dense(h0, hw, float(s))
             vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=(0, 1))
