@@ -90,7 +90,8 @@ def evolve(
         h0: Driver Hamiltonian.
         hw: Problem Hamiltonian.
         total_time: Schedule duration T >= 0; T = 0 returns the initial
-            state unchanged.
+            state unchanged, and a T whose slice phases overflow float64
+            raises NumericalRangeError.
         steps: Slice count >= 1.
         tie_tol: Tolerance for deciding whether the problem minimum is
             unique (fidelity is only defined against a unique target).
@@ -105,8 +106,7 @@ def evolve(
         raise ConfigurationError(f"total_time must be finite and >= 0, got {total_time}")
     steps = check_count("steps", steps, 1)
     dt = total_time / steps
-    # Every eigenvalue of H(s) lies in [0, max(scale * max(h), max(D))], so
-    # a finite dt times that bound keeps every slice's phases finite.
+    # Every eigenvalue of H(s) lies in [0, bound], so dt * bound bounds each phase.
     bound = max(h0.scale * float(h0.h_values.max()), float(hw.diagonal.max()))
     if not np.isfinite(dt * bound):
         raise NumericalRangeError(f"slice phases overflow: time step {dt!r} times "

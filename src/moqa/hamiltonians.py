@@ -102,7 +102,7 @@ class InitialHamiltonian:
         """Real symmetric matrix of the operator in the computational basis.
 
         The penalty diagonal conjugated with the Hadamard transform.  The
-        package builds it only for other than default penalties: with the
+        package builds it only for non-default penalties: with the
         default ones every caller takes its rank-one path first.
         """
         mat = hadamard_transform(hadamard_transform(np.diag(self.h_values)).T)

@@ -8,11 +8,10 @@ spectrum at s = 1 to the instance's separation vector.
 With the default driver scale * (I - |u><u|), where u is the uniform
 superposition, every operator analysed here is a diagonal plus a rank-one
 term.  Its eigenvalues are then roots of a secular equation over the
-distinct diagonal levels (Golub 1973).  secular_roots finds them by a
-rational iteration inside a kept bracket, without forming a matrix.  It
-takes the levels and weights, and it alone knows which level differences
-the iteration reads and how its rows are blocked; the gap scan, delta_max
-and rank_one_eigh each call it once.  Other drivers take the dense path.
+distinct diagonal levels (Golub 1973).  secular_roots finds them from the
+levels and weights alone, by a rational iteration inside a kept bracket,
+without forming a matrix; the gap scan, delta_max and rank_one_eigh each
+call it once.  Other drivers take the dense path.
 """
 
 from __future__ import annotations
@@ -51,9 +50,8 @@ GAP_CSV_HEADER = "s,lambda0,lambda1,gap"
 RANK_ONE_STEP_TOL = 1e-9
 #: Steps after which secular_roots gives up on a root that has not converged.
 RANK_ONE_MAX_STEPS = 64
-#: secular_roots, and the weight and vector loops of rank_one_eigh, take
-#: their rows in blocks of about this many elements divided by the number of
-#: distinct levels, so their temporaries stay bounded.
+#: secular_roots and the weight and vector loops of rank_one_eigh take rows in
+#: blocks of this many elements over the number of levels, bounding temporaries.
 RANK_ONE_BLOCK = 1 << 17
 
 
@@ -449,7 +447,8 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
     if h0.dim != hw.dim:
         raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
     if not h0.is_default:
-        return float(np.max(np.abs(np.linalg.eigvalsh(np.diag(hw.diagonal) - h0.dense()))))
+        diff = np.diag(hw.diagonal) - h0.dense()
+        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     scale = h0.scale
     levels, counts = np.unique(hw.diagonal, return_counts=True)
     if levels.size == 1:
