@@ -9,10 +9,11 @@ stays at machine-precision level and is tracked, not corrected.
 
 With the default driver the run is exact in the K-dimensional basis of
 the level sets of the problem diagonal, K <= N being the number of its
-distinct values: a slice costs O(K^2) through rank_one_eigh, a few root
-steps of O(K) per eigenvalue plus two K x K products, and no N x N matrix
-is formed.  Other driver penalties take one dense interpolation and one
-full eigendecomposition, O(N^3), per slice.
+distinct values: a slice costs O(K^2) through rank_one_eigh, a few O(K)
+root steps per eigenvalue plus two products with eigenvectors formed a
+block of rows at a time, so memory grows with K and no N x N matrix is
+formed.  Other driver penalties take one dense interpolation and one full
+eigendecomposition, O(N^3), per slice.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigurationError, DimensionMismatchError, NormalizationError
 from .errors import NumericalRangeError, check_count
 from .hamiltonians import (
@@ -31,14 +33,11 @@ from .hamiltonians import (
     interpolation_dense,
 )
 from .instance_io import csv_text, write_text_atomic
-from .spectral import DEGENERACY_TOL, degeneracy_check, rank_one_eigh
+from .spectral import DEGENERACY_TOL, degeneracy_check, rank_one_eigh, rank_one_vectors
 
 DEFAULT_STEPS = 4096
 NORM_TOL = 1e-6
 HISTOGRAM_CSV_HEADER = "x,count,probability"
-#: Eigenvector entries per rank_one_eigh call of the level-basis schedule
-#: (2 MB); larger blocks raised the peak memory of a bundled-table run.
-EVOLVE_BLOCK = 1 << 18
 
 
 def initial_ground_state(n: int) -> np.ndarray:
@@ -164,9 +163,9 @@ def _evolve_levels(scale, diagonal, dt, steps, drift):
     entries, and H(s) keeps the span of those sets.  In their orthonormal
     indicator basis, H(s) = c * I + s * (diag(e) - (c / s) |w><w|) with
     c = (1 - s) * scale, distinct values e_j of multiplicity m_j and
-    w_j = sqrt(m_j / N), whose eigenpairs rank_one_eigh returns.  Slices go
-    in blocks of about EVOLVE_BLOCK / K**2, so their eigenvectors stay
-    bounded in memory.
+    w_j = sqrt(m_j / N).  rank_one_eigh gives the roots and vector weights
+    of RANK_ONE_BLOCK / K slices at a time, and each slice applies its
+    eigenvectors in blocks of as many rows.
 
     Returns the final state in the computational basis and the largest
     norm drift seen, starting from drift.
@@ -184,17 +183,21 @@ def _evolve_levels(scale, diagonal, dt, steps, drift):
     psi = np.sqrt(weights).astype(np.complex128)
     s_mid = (np.arange(steps) + 0.5) / steps
     coupling = (1.0 - s_mid) * scale
-    block = max(1, EVOLVE_BLOCK // levels.size**2)
+    block = max(1, spectral.RANK_ONE_BLOCK // levels.size)
     for start in range(0, steps, block):
         part = slice(start, start + block)
-        values, vectors = rank_one_eigh(levels, weights, coupling[part] / s_mid[part])
-        energies = coupling[part, None] + s_mid[part, None] * values
-        for vecs, phases in zip(vectors, np.exp(-1j * dt * energies)):
+        poles, offsets, zhats = rank_one_eigh(levels, weights, coupling[part] / s_mid[part])
+        energies = coupling[part, None] + s_mid[part, None] * (levels[poles] + offsets)
+        for pole, offset, zhat, phases in zip(poles, offsets, zhats, np.exp(-1j * dt * energies)):
             # The real eigenvectors act on the real and imaginary parts as
             # the two columns of one matrix product.
-            amps = (vecs.T @ psi.view(np.float64).reshape(-1, 2)).view(np.complex128)
-            amps = phases * amps.ravel()
-            psi = (vecs @ amps.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+            state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
+            for rows in range(0, levels.size, block):
+                b = slice(rows, rows + block)
+                vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
+                amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
+                new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
+            psi = new.view(np.complex128).ravel()
             drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
     psi = psi[inverse] / np.sqrt(counts[inverse])
     return psi, max(drift, abs(float(np.linalg.norm(psi)) - 1.0))

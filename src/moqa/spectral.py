@@ -11,7 +11,8 @@ term.  Its eigenvalues are then roots of a secular equation over the
 distinct diagonal levels (Golub 1973).  secular_roots finds them from the
 levels and weights alone, by a rational iteration inside a kept bracket,
 without forming a matrix; the gap scan, delta_max and rank_one_eigh each
-call it once.  Other drivers take the dense path.
+call it once, and rank_one_vectors forms eigenvectors from its roots a
+block at a time.  Other drivers take the dense path.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ GAP_CSV_HEADER = "s,lambda0,lambda1,gap"
 RANK_ONE_STEP_TOL = 1e-9
 #: Steps after which secular_roots gives up on a root that has not converged.
 RANK_ONE_MAX_STEPS = 64
-#: secular_roots and the weight and vector loops of rank_one_eigh take rows in
-#: blocks of this many elements over the number of levels, bounding temporaries.
+#: The secular_roots kernel, rank_one_eigh's weight loop and evolve's slice
+#: product take rows in blocks of this many elements over K, bounding temporaries.
 RANK_ONE_BLOCK = 1 << 17
 
 
@@ -123,14 +124,14 @@ def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 1.0, check_count("points", points, 2))
 
 
-def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of diag(levels) - g * |z><z|, one problem per coupling g.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of diag(levels) - g * |z><z| and their vector weights.
 
-    The eigenvalues are the K roots from secular_roots.  The vectors use
-    the weights that make the computed roots exact (Gu & Eisenstat 1995),
-    and every level-to-root distance is a level difference plus a root
-    offset, so close levels keep their relative accuracy.  A problem costs
-    O(K^2): a few O(K) steps per root, and O(K) per weight and per vector.
+    One problem per coupling g.  The eigenvalues are the K roots from
+    secular_roots.  The weights zhat make the computed roots exact (Gu &
+    Eisenstat 1995), and rank_one_vectors forms the eigenvectors from them.
+    A problem costs O(K^2): a few O(K) steps per root, and O(K) per weight.
 
     Args:
         levels: Strictly increasing diagonal, shape (K,).
@@ -138,69 +139,63 @@ def rank_one_eigh(levels, weights, couplings) -> tuple[np.ndarray, np.ndarray]:
         couplings: Positive g per problem, shape (S,).
 
     Returns:
-        (values, vectors): ascending eigenvalues, shape (S, K), and
-        orthonormal eigenvectors in the columns of each vectors[s], shape
-        (S, K, K).  The level differences are formed after the roots, and
-        the weights and vectors in blocks of RANK_ONE_BLOCK / K rows, so
-        the temporaries beside the result stay within a few K x K arrays.
+        (pole, offset, zhat), each of shape (S, K): root k of problem s is
+        levels[pole[s, k]] + offset[s, k], ascending in k, and zhat[s] are
+        the problem's weights.  No temporary exceeds RANK_ONE_BLOCK
+        elements or the S x K result.
 
     Raises:
         NumericalRangeError: When a root has not converged after
-            RANK_ONE_MAX_STEPS steps, or when the eigenpairs leave float
-            range, as they do for levels closer than the smallest normal
-            float.
+            RANK_ONE_MAX_STEPS steps, or when the roots or weights leave
+            float range, as they do for levels closer than the smallest
+            normal float.
     """
     levels = np.asarray(levels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     couplings = np.atleast_1d(np.asarray(couplings, dtype=np.float64))
     size, count = levels.size, couplings.size
     if size == 1:
-        return levels - couplings[:, None] * weights, np.ones((count, 1, 1))
-    rank = np.tile(np.arange(size), count)
-    problem = np.repeat(np.arange(count), size)
-    poles, offsets = secular_roots(levels, weights, rank, couplings[problem])
-    values = levels[poles] + offsets
-    # gaps[p, j] = levels[j] - levels[p], each rounded once.
-    gaps = levels - levels[:, None]
-    zhat2 = np.ones((count, size))
-    step = max(1, RANK_ONE_BLOCK // size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # The weights are recomputed as a product over roots of
-        # (level - root) / (level - pole), pairing root k with the one of
-        # its bracketing poles farther from the level: every factor but
-        # root 0's lies in (0, 1), so no partial product leaves float range.
-        inv_far = np.abs(gaps[:-1])
-        np.maximum(inv_far, np.abs(gaps[1:]), out=inv_far)
-        np.reciprocal(inv_far, out=inv_far)
-        for start in range(0, rank.size, step):
-            rows = slice(start, start + step)
-            k, owner = rank[rows], problem[rows]
-            ratio = gaps[poles[rows]] - offsets[rows, None]
-            first = k == 0
-            head = ratio[first] / (gaps[0] + couplings[owner[first], None])
-            ratio *= inv_far[np.maximum(k - 1, 0)]
-            ratio[first] = head
-            cuts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-            zhat2[owner[cuts]] *= np.multiply.reduceat(ratio, cuts, axis=0)
-        # Root 0 was paired with g + levels - levels[0] instead of g.
-        zhat = np.sqrt(np.abs(zhat2) * (1.0 + gaps[0] / couplings[:, None]))
-        out = np.empty((count * size, size))
-        for start in range(0, rank.size, step):
-            rows = slice(start, start + step)
-            vec = out[rows]
-            np.subtract(gaps[poles[rows]], offsets[rows, None], out=vec)
-            np.divide(zhat[problem[rows]], vec, out=vec)
-            # The nearest level is the root's pole, so this scaling keeps
-            # every entry at most max(zhat) and the squares in range.
-            vec *= np.abs(offsets[rows, None])
-            vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(out))):
+        return np.zeros((count, 1), np.intp), -couplings[:, None] * weights, np.ones((count, 1))
+    roots = secular_roots(levels, weights, np.arange(size).repeat(count), np.tile(couplings, size))
+    pole, offset = (root.reshape(size, count) for root in roots)
+    # The weights are recomputed as a product over roots of
+    # (level - root) / (level - pole), pairing root k > 0 with the one of its
+    # bracketing poles farther from the level and root 0 with g + level -
+    # levels[0]: every factor but root 0's lies in (0, 1), so no partial
+    # product leaves float range.  The product runs in root order in every
+    # blocking, so the blocks do not change it.
+    zhat2 = (levels - levels[pole[0], None]) - offset[0, :, None]
+    zhat2 /= (levels - levels[0]) + couplings[:, None]
+    step = max(1, RANK_ONE_BLOCK // (count * size))
+    for start in range(1, size, step):
+        k = np.arange(start, min(start + step, size))
+        ratio = levels - levels[pole[k], None]
+        ratio -= offset[k, :, None]
+        far = np.maximum(np.abs(levels - levels[k - 1, None]), np.abs(levels - levels[k, None]))
+        ratio *= np.reciprocal(far)[:, None]
+        ratio[0] *= zhat2
+        zhat2 = np.prod(ratio, axis=0)
+    # Root 0 was paired with g + levels - levels[0] instead of g.
+    zhat = np.sqrt(np.abs(zhat2) * (1.0 + (levels - levels[0]) / couplings[:, None]))
+    if not (np.all(np.isfinite(levels[pole] + offset)) and np.all(np.isfinite(zhat))):
         raise NumericalRangeError(
             "rank-one eigenpairs left float range; the levels are too close "
             "for their spread and couplings"
         )
-    vectors = out.reshape(count, size, size).transpose(0, 2, 1)
-    return values.reshape(count, size), vectors
+    return pole.T, offset.T, zhat
+
+
+def rank_one_vectors(levels, zhat, pole, offset) -> np.ndarray:
+    """Unit eigenvectors, as rows, of the roots levels[pole] + offset of one
+    rank_one_eigh problem with weights zhat: zhat_j / (levels_j - root)."""
+    vec = levels - levels[pole, None]
+    vec -= offset[:, None]
+    np.divide(zhat, vec, out=vec)
+    # The nearest level is the root's pole, so this scaling keeps every
+    # entry at most max(zhat) and the squares in range.
+    vec *= np.abs(offset[:, None])
+    vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
+    return vec
 
 
 def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +210,8 @@ def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
     rational model of Bunch, Nielsen & Sorensen (1978), the "middle way" of
     LAPACK's dlaed4 (Li 1993), inside a kept bracket: a model step that
     leaves the bracket is replaced by bisection.  Every step of a root
-    costs O(K).  The level differences are formed once per call, for the
-    poles 0 .. max(1, max(k)) only, so roots 0 and 1 need two rows of K.
+    costs O(K) and forms its rows' level differences afresh, so no table
+    of them is kept.
 
     Args:
         levels: Strictly increasing diagonal, shape (K,), K >= 2.
@@ -232,25 +227,23 @@ def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
             RANK_ONE_MAX_STEPS steps.
     """
     pole, offset = np.empty(k.size, dtype=np.intp), np.empty(k.size)
-    # gaps[p, j] = levels[j] - levels[p], each rounded once.
-    gaps = levels - levels[: k.max(initial=1) + 1, None]
     z, total = np.sqrt(weights), weights.sum()
     step = max(1, RANK_ONE_BLOCK // levels.size)
     for start in range(0, k.size, step):
         rows = slice(start, start + step)
-        pole[rows], offset[rows] = _secular_block(gaps, z, total, k[rows], g[rows])
+        pole[rows], offset[rows] = _secular_block(levels, z, total, k[rows], g[rows])
     return pole, offset
 
 
 # A degenerate model, such as one at an exact zero of f, gives inf or NaN
 # candidates, which the bracket tests reject.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _secular_block(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
-    """secular_roots on one block of rows, over the pole rows of gaps."""
+def _secular_block(levels, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
+    """secular_roots on one block of rows."""
     inner = k > 0
     # Model poles: the two bracketing poles, or poles 0 and 1 for root 0.
     left, right = np.maximum(k - 1, 0), np.maximum(k, 1)
-    width = gaps[left, right]
+    width = levels[right] - levels[left]
     tiny = np.nextafter(0.0, 1.0)
     # Start at the bracket's midpoint, measured from the left pole; the
     # poles stay outside the bracket, so no iterate lands on one.
@@ -259,12 +252,14 @@ def _secular_block(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
     hi = np.where(inner, np.nextafter(width, 0.0), -tiny)
     offset = np.where(inner, 0.5 * width, 0.5 * lo)
     target = 1.0 / g
-    active = np.arange(k.size)
+    # One buffer for every step's distances spares the allocator fresh pages.
+    active, buf = np.arange(k.size), np.empty((k.size, levels.size))
     for it in range(RANK_ONE_MAX_STEPS):
         if active.size == 0:
             break
         at, lft, rgt = offset[active], left[active], right[active]
-        dist = gaps[pole[active]]
+        # A level difference less the offset keeps close levels accurate.
+        dist = np.subtract(levels, levels[pole[active], None], out=buf[: active.size])
         dist -= at[:, None]
         here = np.arange(active.size)
         d_left, d_right = dist[here, lft], dist[here, rgt]
@@ -277,7 +272,7 @@ def _secular_block(gaps, z, total, k, g) -> tuple[np.ndarray, np.ndarray]:
         dist *= unit[:, None]
         np.square(dist, out=dist)
         cuts = np.empty(2 * active.size, dtype=np.intp)
-        cuts[0::2] = here * gaps.shape[1]
+        cuts[0::2] = here * levels.size
         cuts[1::2] = cuts[0::2] + rgt
         slopes = np.add.reduceat(dist.ravel(), cuts).reshape(-1, 2)
         lo_a = np.where(f < 0, at, lo[active])

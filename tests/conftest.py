@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from moqa import McoInstance
+from moqa import InitialHamiltonian, McoInstance, evolve
 
 
 def make_instance(values, lam=None, label_offset=0) -> McoInstance:
@@ -62,6 +62,13 @@ def dense_oracle(driver, diag, grid):
     dmax = np.max(np.abs(np.linalg.eigvalsh(np.diag(diag) - driver)))
     comm = driver * diag[None, :] - diag[:, None] * driver
     return np.array(rows), dmax, np.linalg.norm(comm, 2)
+
+
+def dense_path(h0, hw, total_time, steps):
+    """evolve on its dense branch, which other driver penalties take."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InitialHamiltonian, "is_default", property(lambda self: False))
+        return evolve(h0, hw, total_time, steps=steps)
 
 
 @pytest.fixture

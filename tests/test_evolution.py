@@ -5,6 +5,7 @@ scipy.linalg.expm products, on a much finer grid or on the same slices,
 and the default driver's level-basis run against the dense branch.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from scipy.linalg import expm
 from moqa import (
     ConfigurationError,
     DiagonalHamiltonian,
-    InitialHamiltonian,
     Linearization,
     NormalizationError,
     NumericalRangeError,
@@ -31,7 +31,7 @@ from moqa import (
 from moqa import evolution
 from moqa.evolution import HISTOGRAM_CSV_HEADER
 
-from conftest import dense_driver, make_instance, random_instance
+from conftest import dense_driver, dense_path, make_instance, random_instance
 
 
 def reference_evolution(h0, hw, total_time, slices):
@@ -177,11 +177,17 @@ def test_default_driver_evolution_skips_dense_solvers(monkeypatch, rng):
     assert abs(res.distribution.sum() - 1.0) <= 1e-12
 
 
-def dense_path(h0, hw, total_time, steps):
-    """evolve on its dense branch, which other driver penalties take."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(InitialHamiltonian, "is_default", property(lambda self: False))
-        return evolve(h0, hw, total_time, steps=steps)
+def test_level_basis_slice_memory_grows_with_k_not_k_squared():
+    # Two K x K float64 arrays take 16 MiB at K = 1024; a slice needs none.
+    hw = DiagonalHamiltonian(np.random.default_rng(11).uniform(0.0, 600.0, 1024))
+    h0 = build_initial(10)
+    tracemalloc.start()
+    try:
+        evolve(h0, hw, 10.0, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @st.composite

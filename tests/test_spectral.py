@@ -27,6 +27,7 @@ from moqa import (
     degeneracy_check,
     delta_max,
     end_gap_diagnostics,
+    evolve,
     gap_scan,
     runtime_estimate,
     scalarize,
@@ -37,7 +38,7 @@ from moqa import hamiltonians, spectral
 from moqa.cli import EXIT_NUMERICAL, main
 from moqa.spectral import GAP_CSV_HEADER, RESIDUAL_REL_TOL
 
-from conftest import dense_driver, dense_oracle, make_instance, random_instance
+from conftest import dense_driver, dense_oracle, dense_path, make_instance, random_instance
 
 
 def random_hermitian(rng, dim, complex_entries=True):
@@ -380,7 +381,16 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
 
 
 # ---------------------------------------------------------------------------
-# rank_one_eigh, the level-basis eigensolver of the default-driver schedule
+# rank_one_eigh and rank_one_vectors, the level-basis eigensolver of the
+# default-driver schedule
+
+
+def _eigenpairs(levels, weights, couplings):
+    """Eigenvalues per problem, and each problem's vectors as columns."""
+    levels = np.asarray(levels, dtype=np.float64)
+    pole, offset, zhat = spectral.rank_one_eigh(levels, weights, couplings)
+    vectors = [spectral.rank_one_vectors(levels, *row).T for row in zip(zhat, pole, offset)]
+    return levels[pole] + offset, np.array(vectors)
 
 
 def _kernel_cases():
@@ -414,7 +424,7 @@ def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
     # schedule) to 1 - 1e-6, at the default scale.
     s = np.array([1e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-6])
     couplings = (1.0 - s) * 8.0 / s
-    values, vectors = spectral.rank_one_eigh(levels, weights, couplings)
+    values, vectors = _eigenpairs(levels, weights, couplings)
     z = np.sqrt(weights)
     for g, vals, vecs in zip(couplings, values, vectors):
         mat = np.diag(levels) - g * np.outer(z, z)
@@ -427,7 +437,7 @@ def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
 
 
 def test_rank_one_eigh_single_level_is_closed_form():
-    values, vectors = spectral.rank_one_eigh([3.0], [1.0], [2.0, 0.5])
+    values, vectors = _eigenpairs([3.0], [1.0], [2.0, 0.5])
     assert values.tolist() == [[1.0], [2.5]]
     assert vectors.tolist() == [[[1.0]], [[1.0]]]
 
@@ -516,23 +526,34 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
     problems = [(h0, unique), (h0, DiagonalHamiltonian(tied))]
     (levels, weights), = [case.values for case in _kernel_cases() if case.id == "unit"]
     couplings = np.array([1e-3, 0.5, 8.0, 1e4])
+    # evolve at block 1 on the bundled table's K = 128 would take seconds.
+    if block == 1:
+        run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
+    else:
+        run = (h0, unique)
 
     def results():
         curves = [gap_scan(*pair, points=33) for pair in problems]
-        return curves, [delta_max(*pair) for pair in problems], spectral.rank_one_eigh(
-            levels, weights, couplings)
+        roots = spectral.rank_one_eigh(levels, weights, couplings)
+        state = evolve(*run, 20.0, steps=64).final_state
+        return curves, [delta_max(*pair) for pair in problems], roots, state
 
-    curves, dmax, (values, vectors) = results()
+    curves, dmax, (pole, offset, zhat), state = results()
     monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
-    new_curves, new_dmax, (new_values, new_vectors) = results()
+    new_curves, new_dmax, (new_pole, new_offset, new_zhat), new_state = results()
     for curve, new in zip(curves, new_curves):
         for name in ("lambda0", "lambda1", "gap"):
             assert getattr(new, name).tobytes() == getattr(curve, name).tobytes()
     assert new_dmax == dmax
-    # The weight products regroup across blocks, so only the vectors move.
-    norm = np.max(np.abs(values), axis=1, keepdims=True)
-    assert np.max(np.abs(new_values - values) / norm) <= 1e-14
-    assert np.max(np.abs(new_vectors - vectors)) <= 1e-14
+    # The weight products run over the roots in order in any blocking, so
+    # the roots, the weights and the vectors formed from them keep their bits.
+    for old, new in [(pole, new_pole), (offset, new_offset), (zhat, new_zhat)]:
+        assert new.tobytes() == old.tobytes()
+    # The slice products regroup their sums across row blocks.
+    assert np.max(np.abs(new_state - state)) <= 1e-14
+    if block == 1:
+        dense = dense_path(*run, 20.0, steps=64).final_state
+        assert np.max(np.abs(new_state - dense)) <= 1e-9
 
 
 @pytest.mark.parametrize("scale", [8.0, 0.25])
