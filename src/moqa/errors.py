@@ -6,7 +6,7 @@ configuration, 3 for an unresolvable degeneracy, 4 for a numerical failure.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class MoqaError(Exception):
@@ -84,6 +84,11 @@ class ConfigurationError(MoqaError):
 def is_integer(value) -> bool:
     """Python and NumPy integers count; bools, floats and strings do not."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Python and NumPy reals, integers included, count; bools and strings do not."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def check_count(name: str, value, minimum: int) -> int:

@@ -7,13 +7,13 @@ applies the exact matrix exponential of the Hamiltonian frozen at the
 slice midpoint.  Every slice is unitary by construction, so norm drift
 stays at machine-precision level and is tracked, not corrected.
 
-With the default driver the run is exact in the K-dimensional basis of
-the level sets of the problem diagonal, K <= N being the number of its
-distinct values: a slice costs O(K^2) through rank_one_eigh, a few O(K)
-root steps per eigenvalue plus two products with eigenvectors formed a
-block of rows at a time, so memory grows with K and no N x N matrix is
-formed.  Other driver penalties take one dense interpolation and one full
-eigendecomposition, O(N^3), per slice.
+With the default driver, spectral.rank_one_evolve runs the schedule
+exactly in the K-dimensional basis of the level sets of the problem
+diagonal, K <= N being the number of its distinct values: a slice costs
+O(K^2), a few O(K) root steps per eigenvalue plus two products with
+eigenvectors formed a block of rows at a time, so memory grows with K and
+no N x N matrix is formed.  Other driver penalties take one dense
+interpolation and one full eigendecomposition, O(N^3), per slice.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .errors import ConfigurationError, DimensionMismatchError, NormalizationError
-from .errors import NumericalRangeError, check_count
+from .errors import NumericalRangeError, check_count, is_real
 from .hamiltonians import (
     DiagonalHamiltonian,
     InitialHamiltonian,
+    check_pair,
     commutes,
     interpolation_dense,
 )
 from .instance_io import csv_text, write_text_atomic
-from .spectral import DEGENERACY_TOL, degeneracy_check, rank_one_eigh, rank_one_vectors
+from .spectral import DEGENERACY_TOL, degeneracy_check, rank_one_evolve
 
 DEFAULT_STEPS = 4096
 NORM_TOL = 1e-6
@@ -99,10 +99,9 @@ def evolve(
         EvolutionResult.  A warning is emitted when the driver and problem
         Hamiltonians commute, since the run then cannot steer the state.
     """
-    if h0.dim != hw.dim:
-        raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
-    if total_time < 0 or not np.isfinite(total_time):
-        raise ConfigurationError(f"total_time must be finite and >= 0, got {total_time}")
+    check_pair(h0, hw)
+    if not (is_real(total_time) and total_time >= 0 and np.isfinite(total_time)):
+        raise ConfigurationError(f"total_time must be a finite number >= 0, got {total_time!r}")
     steps = check_count("steps", steps, 1)
     dt = total_time / steps
     # Every eigenvalue of H(s) lies in [0, bound], so dt * bound bounds each phase.
@@ -125,7 +124,7 @@ def evolve(
         )
 
     if total_time > 0 and h0.is_default:
-        psi, drift = _evolve_levels(h0.scale, hw.diagonal, dt, steps, drift)
+        psi, drift = rank_one_evolve(h0.scale, hw.diagonal, dt, steps, drift)
     elif total_time > 0:
         import scipy.linalg
 
@@ -154,53 +153,6 @@ def evolve(
         degenerate_target=degenerate,
         distribution=np.abs(psi) ** 2,
     )
-
-
-def _evolve_levels(scale, diagonal, dt, steps, drift):
-    """The default-driver schedule, run exactly in the level basis.
-
-    The uniform start state is constant on each set of equal diagonal
-    entries, and H(s) keeps the span of those sets.  In their orthonormal
-    indicator basis, H(s) = c * I + s * (diag(e) - (c / s) |w><w|) with
-    c = (1 - s) * scale, distinct values e_j of multiplicity m_j and
-    w_j = sqrt(m_j / N).  rank_one_eigh gives the roots and vector weights
-    of RANK_ONE_BLOCK / K slices at a time, and each slice applies its
-    eigenvectors in blocks of as many rows.
-
-    Returns the final state in the computational basis and the largest
-    norm drift seen, starting from drift.
-    """
-    levels, inverse, counts = np.unique(
-        diagonal, return_inverse=True, return_counts=True
-    )
-    # Levels closer than the smallest normal float count as one: the
-    # reciprocal of their distance would leave float range.
-    first = np.r_[True, np.diff(levels) >= np.finfo(np.float64).tiny]
-    group = np.cumsum(first) - 1
-    levels, inverse = levels[first], group[inverse]
-    counts = np.bincount(group, weights=counts)
-    weights = counts / diagonal.size
-    psi = np.sqrt(weights).astype(np.complex128)
-    s_mid = (np.arange(steps) + 0.5) / steps
-    coupling = (1.0 - s_mid) * scale
-    block = max(1, spectral.RANK_ONE_BLOCK // levels.size)
-    for start in range(0, steps, block):
-        part = slice(start, start + block)
-        poles, offsets, zhats = rank_one_eigh(levels, weights, coupling[part] / s_mid[part])
-        energies = coupling[part, None] + s_mid[part, None] * (levels[poles] + offsets)
-        for pole, offset, zhat, phases in zip(poles, offsets, zhats, np.exp(-1j * dt * energies)):
-            # The real eigenvectors act on the real and imaginary parts as
-            # the two columns of one matrix product.
-            state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
-            for rows in range(0, levels.size, block):
-                b = slice(rows, rows + block)
-                vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
-                amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
-                new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
-            psi = new.view(np.complex128).ravel()
-            drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
-    psi = psi[inverse] / np.sqrt(counts[inverse])
-    return psi, max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
 
 
 def measure(state: np.ndarray, shots: int, seed: int | None = None) -> np.ndarray:

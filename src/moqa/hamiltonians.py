@@ -179,14 +179,17 @@ class HermitianOperator:
         return int(self.entries.shape[0])
 
 
+def check_pair(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> None:
+    """Refuse a driver and a problem Hamiltonian of different dimensions."""
+    if h0.dim != hw.dim:
+        raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
+
+
 def interpolation_dense(
     h0: InitialHamiltonian, hw: DiagonalHamiltonian, s: float
 ) -> np.ndarray:
     """Real symmetric matrix (1 - s) * H_initial + s * H_final."""
-    if h0.dim != hw.dim:
-        raise DimensionMismatchError(
-            f"driver dim {h0.dim} != problem dim {hw.dim}"
-        )
+    check_pair(h0, hw)
     if not (0.0 <= s <= 1.0):
         raise ConfigurationError(f"schedule point s={s} outside [0, 1]")
     mat = (1.0 - s) * h0.dense()
@@ -215,8 +218,7 @@ def commutes(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> CommutatorCheck
         A commuting pair makes the interpolation eigenbasis constant,
         which defeats the annealing mechanism.
     """
-    if h0.dim != hw.dim:
-        raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
+    check_pair(h0, hw)
     if h0.is_default:
         # Shifting by one entry leaves std unchanged and makes it exactly 0
         # on a constant diagonal.  Dividing by the power of two at the

@@ -12,7 +12,8 @@ distinct diagonal levels (Golub 1973).  secular_roots finds them from the
 levels and weights alone, by a rational iteration inside a kept bracket,
 without forming a matrix; the gap scan, delta_max and rank_one_eigh each
 call it once, and rank_one_vectors forms eigenvectors from its roots a
-block at a time.  Other drivers take the dense path.
+block at a time.  rank_one_evolve runs evolve's default-driver schedule
+on these three in the level basis.  Other drivers take the dense path.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateGapError,
-    DimensionMismatchError,
-    NumericalRangeError,
-    check_count,
-)
+from .errors import ConfigurationError, DegenerateGapError, NumericalRangeError, check_count
+from .errors import is_real
 from .hamiltonians import (
     DiagonalHamiltonian,
     HermitianOperator,
     InitialHamiltonian,
+    check_pair,
     interpolation_dense,
 )
 from .instance_io import csv_text, write_text_atomic
@@ -196,6 +193,57 @@ def rank_one_vectors(levels, zhat, pole, offset) -> np.ndarray:
     vec *= np.abs(offset[:, None])
     vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
     return vec
+
+
+def rank_one_evolve(scale, diagonal, dt, steps, drift):
+    """evolve's default-driver schedule: steps midpoint slices of length dt
+    from the uniform state, run exactly in the level basis of diagonal.
+
+    The uniform start state is constant on each set of equal diagonal
+    entries, and H(s) keeps the span of those sets.  In their orthonormal
+    indicator basis, H(s) = c * I + s * (diag(e) - (c / s) |w><w|) with
+    c = (1 - s) * scale, distinct values e_j of multiplicity m_j and
+    w_j = sqrt(m_j / N).  rank_one_eigh gives the roots and vector weights
+    of RANK_ONE_BLOCK / K slices at a time, and each slice applies its
+    eigenvectors in blocks of as many rows.
+
+    Levels closer than the smallest normal float are merged first:
+    rank_one_eigh refuses them, as the reciprocals of their distances
+    leave float range.  gap_scan and delta_max keep every distinct value,
+    since their s = 1 endpoint is the diagonal itself, exactly.
+
+    Returns the final state in the computational basis and the largest
+    norm drift seen, starting from drift.
+    """
+    levels, inverse, counts = np.unique(
+        diagonal, return_inverse=True, return_counts=True
+    )
+    first = np.r_[True, np.diff(levels) >= np.finfo(np.float64).tiny]
+    group = np.cumsum(first) - 1
+    levels, inverse = levels[first], group[inverse]
+    counts = np.bincount(group, weights=counts)
+    weights = counts / diagonal.size
+    psi = np.sqrt(weights).astype(np.complex128)
+    s_mid = (np.arange(steps) + 0.5) / steps
+    coupling = (1.0 - s_mid) * scale
+    block = max(1, RANK_ONE_BLOCK // levels.size)
+    for start in range(0, steps, block):
+        part = slice(start, start + block)
+        poles, offsets, zhats = rank_one_eigh(levels, weights, coupling[part] / s_mid[part])
+        energies = coupling[part, None] + s_mid[part, None] * (levels[poles] + offsets)
+        for pole, offset, zhat, phases in zip(poles, offsets, zhats, np.exp(-1j * dt * energies)):
+            # The real eigenvectors act on the real and imaginary parts as
+            # the two columns of one matrix product.
+            state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
+            for rows in range(0, levels.size, block):
+                b = slice(rows, rows + block)
+                vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
+                amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
+                new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
+            psi = new.view(np.complex128).ravel()
+            drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
+    psi = psi[inverse] / np.sqrt(counts[inverse])
+    return psi, max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
 
 
 def secular_roots(levels, weights, k, g) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +411,7 @@ def gap_scan(
         GapCurve over uniform_grid(points).
     """
     grid = uniform_grid(points)
-    if h0.dim != hw.dim:
-        raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
+    check_pair(h0, hw)
     if h0.is_default:
         levels, counts = np.unique(hw.diagonal, return_counts=True)
         coupling = (1.0 - grid) * h0.scale
@@ -413,8 +460,8 @@ def degeneracy_check(
     hw: DiagonalHamiltonian, tol: float = DEGENERACY_TOL
 ) -> DegeneracyReport:
     """Find every diagonal entry within tol of the minimum."""
-    if not np.isfinite(tol):
-        raise ConfigurationError(f"tolerance must be finite, got {tol!r}")
+    if not (is_real(tol) and np.isfinite(tol)):
+        raise ConfigurationError(f"tolerance must be a finite number, got {tol!r}")
     if tol < 0:
         raise ConfigurationError("tolerance must be nonnegative")
     diag = hw.diagonal
@@ -439,8 +486,7 @@ def delta_max(h0: InitialHamiltonian, hw: DiagonalHamiltonian) -> float:
     lies in (e_max, e_max + scale) - scale.  Each is one O(K) root search.
     Other drivers take one dense eigvalsh, O(N^3).
     """
-    if h0.dim != hw.dim:
-        raise DimensionMismatchError(f"driver dim {h0.dim} != problem dim {hw.dim}")
+    check_pair(h0, hw)
     if not h0.is_default:
         diff = np.diag(hw.diagonal) - h0.dense()
         return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
@@ -504,8 +550,8 @@ def runtime_estimate(
     """
     if g_min <= 0.0:
         raise DegenerateGapError(f"minimum gap must be positive, got {g_min}")
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
+    if not (is_real(delta) and 0.0 < delta < 1.0):
+        raise ConfigurationError(f"delta must lie in (0, 1), got {delta!r}")
     floor = g_min if gap_floor is None else float(gap_floor)
     if floor <= 0.0:
         raise DegenerateGapError(f"gap floor must be positive, got {floor}")

@@ -224,6 +224,51 @@ def test_malformed_sidecar_is_format_error(tmp_path, capsys, sidecar):
     assert err.startswith(f"error: {meta}: sidecar {next(iter(sidecar))}=")
 
 
+# The reader's error contract: each message names the file, and the line
+# where there is one.  A faster parser must keep these bytes.
+TWO_ROWS = "x,f1,f2\n0,0.0,1.0\n1,1.0,0.0\n"
+
+
+@pytest.mark.parametrize("table, sidecar, message", [
+    ("", None, "{csv}: empty file"),
+    ("x,f1,f2\n0,1.0\n", None, "{csv}:2: expected 3 fields, got 2"),
+    ("x,f1,f2\n0,abc,1.0\n", None, "{csv}:2: could not convert string to float: 'abc'"),
+    ("x,f1,f2\n", None, "{csv}: no data rows"),
+    (TWO_ROWS, "oops", "{json}: Expecting value: line 1 column 1 (char 0)"),
+    (TWO_ROWS, "[2, 2]", "{json}: sidecar must be a JSON object"),
+    (TWO_ROWS, '{"d": 3}', "{json}: sidecar d=3 disagrees with 2 columns"),
+], ids=["empty", "field_count", "unparsable", "no_rows", "sidecar_syntax", "sidecar_list",
+        "sidecar_d"])
+def test_reader_error_messages(tmp_path, capsys, table, sidecar, message):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    csv_path.write_text(table)
+    if sidecar is not None:
+        json_path.write_text(sidecar)
+    assert main(["front", str(csv_path)]) == EXIT_IO
+    expected = message.format(csv=csv_path, json=json_path)
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_reader_skips_blank_rows(tmp_path, capsys):
+    fronts = []
+    for name, table in [("plain", TWO_ROWS), ("blank", TWO_ROWS.replace("\n1,", "\n\n1,"))]:
+        (tmp_path / f"{name}.csv").write_text(table)
+        assert main(["front", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+        fronts.append(capsys.readouterr().out)
+    assert fronts[0] == fronts[1]
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    (tmp_path / "t.csv").write_text(TWO_ROWS)
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["front", str(tmp_path / "t.csv"), "--output", str(tmp_path / "o.json")]) == EXIT_IO
+    assert capsys.readouterr().err == "error: rename refused\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv"]
+
+
 # ---------------------------------------------------------------------------
 # front
 

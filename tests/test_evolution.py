@@ -28,7 +28,7 @@ from moqa import (
     measure,
     write_histogram_csv,
 )
-from moqa import evolution
+from moqa import evolution, spectral
 from moqa.evolution import HISTOGRAM_CSV_HEADER
 
 from conftest import dense_driver, dense_path, make_instance, random_instance
@@ -134,29 +134,40 @@ def test_rejects_bad_step_count(system, steps):
         evolve(h0, hw, 1.0, steps=steps)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
-def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatch, tol):
+def refuse_slices(monkeypatch):
     def slice_ran(*args):
         raise AssertionError("a schedule slice ran")
 
-    # The default driver runs its slices through rank_one_eigh, any other
-    # driver through interpolation_dense.
+    # The default driver runs its slices through spectral.rank_one_eigh, any
+    # other driver through interpolation_dense.
     monkeypatch.setattr(evolution, "interpolation_dense", slice_ran)
-    monkeypatch.setattr(evolution, "rank_one_eigh", slice_ran)
+    monkeypatch.setattr(spectral, "rank_one_eigh", slice_ran)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, True, "1e-9"])
+def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatch, tol):
+    refuse_slices(monkeypatch)
     h0, hw = system
     with pytest.raises(ConfigurationError):
         evolve(h0, hw, 1.0, steps=4, tie_tol=tol)
 
 
 @pytest.mark.parametrize("h_values", [None, [0.0, 1.0, 2.0, 3.0]], ids=["default", "nondefault"])
+@pytest.mark.parametrize("total_time", [True, "1.0", None, -1.0, np.nan, np.inf])
+def test_rejects_bad_total_time_before_the_schedule(monkeypatch, h_values, total_time):
+    # True would otherwise run a T = 1 schedule.
+    refuse_slices(monkeypatch)
+    h0 = build_initial(2, h_values=h_values)
+    hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 7.0]))
+    with pytest.raises(ConfigurationError, match="total_time"):
+        evolve(h0, hw, total_time, steps=4)
+
+
+@pytest.mark.parametrize("h_values", [None, [0.0, 1.0, 2.0, 3.0]], ids=["default", "nondefault"])
 @pytest.mark.parametrize("total_time, steps", [(1e308, 1), (1e307, 3)])
 def test_overflowing_phases_rejected_before_the_schedule(monkeypatch, h_values, total_time,
                                                          steps):
-    def slice_ran(*args):
-        raise AssertionError("a schedule slice ran")
-
-    monkeypatch.setattr(evolution, "interpolation_dense", slice_ran)
-    monkeypatch.setattr(evolution, "rank_one_eigh", slice_ran)
+    refuse_slices(monkeypatch)
     h0 = build_initial(2, h_values=h_values)
     hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 400.0]))
     with pytest.raises(NumericalRangeError, match="not finite") as info:

@@ -423,6 +423,19 @@ def test_supported_hand_case_zero_weight_three_objectives():
     assert oracle_supported(values, [0, 1, 2, 3], 3)
 
 
+def test_supported_hand_case_only_inadmissible_weighting():
+    # Row 0 beats rows 1 and 2 only under (1, 0, 0), where all three tie;
+    # a weighting with an entry of 1 is not admissible, so the LP's margin
+    # is zero and row 0 is nonsupported.
+    values = [[0.0, 2.0, 2.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0], [5.0, 5.0, 5.0]]
+    sc = supported_solutions(make_instance(values))
+    assert sc.method == "lp"
+    assert sc.pareto == (0, 1, 2)
+    assert sc.supported == (1, 2)
+    assert sc.nonsupported == (0,)
+    assert [oracle_supported(values, [0, 1, 2], x) for x in range(3)] == [False, True, True]
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -34,7 +34,7 @@ from moqa import (
     smallest_two,
     uniform_grid,
 )
-from moqa import hamiltonians, spectral
+from moqa import evolution, hamiltonians, spectral
 from moqa.cli import EXIT_NUMERICAL, main
 from moqa.spectral import GAP_CSV_HEADER, RESIDUAL_REL_TOL
 
@@ -171,8 +171,9 @@ def test_degeneracy_tolerance_window():
     assert degeneracy_check(hw, tol=1e-12).multiplicity == 1
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, True, "1e-9"])
 def test_degeneracy_rejects_bad_tolerance(tol):
+    # True would otherwise be a tolerance of 1.0 and tie rows 1 and 2.
     hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 5.0]))
     with pytest.raises(ConfigurationError):
         degeneracy_check(hw, tol=tol)
@@ -230,8 +231,9 @@ def test_runtime_estimate_outside_float_range(g_min, dmax):
 
 
 def test_runtime_estimate_rejects_bad_delta():
-    with pytest.raises(ConfigurationError):
-        runtime_estimate(0.5, 1.0, delta=1.5)
+    for delta in (1.5, "0.1", None):
+        with pytest.raises(ConfigurationError):
+            runtime_estimate(0.5, 1.0, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,9 @@ def test_nondefault_driver_matches_dense_oracle(rng):
 @pytest.mark.parametrize("default", [True, False], ids=["default", "nondefault"])
 @pytest.mark.parametrize("call", [
     lambda h0, hw: gap_scan(h0, hw, points=4), delta_max, commutes,
-], ids=["gap_scan", "delta_max", "commutes"])
+    lambda h0, hw: evolve(h0, hw, 1.0, steps=4),
+    lambda h0, hw: hamiltonians.interpolation_dense(h0, hw, 0.5),
+], ids=["gap_scan", "delta_max", "commutes", "evolve", "interpolation_dense"])
 def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
     h0 = build_initial(3, h_values=None if default else np.r_[0.0, np.full(7, 2.0)])
     hw = DiagonalHamiltonian(np.arange(4.0))
@@ -373,7 +377,8 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
 
     for owner, name in [(scipy.linalg, "eigh"), (np.linalg, "eigvalsh"),
                         (np.linalg, "norm"), (np, "unique"), (np, "std"),
-                        (spectral, "interpolation_dense"),
+                        (spectral, "interpolation_dense"), (spectral, "rank_one_eigh"),
+                        (evolution, "interpolation_dense"),
                         (hamiltonians.InitialHamiltonian, "dense")]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(DimensionMismatchError):
@@ -443,8 +448,8 @@ def test_rank_one_eigh_single_level_is_closed_form():
 
 
 def test_rank_one_eigh_refuses_subnormal_gaps():
-    # The reciprocal of a subnormal distance is infinite; evolve merges
-    # such levels before it calls the kernel.
+    # The reciprocal of a subnormal distance is infinite; rank_one_evolve
+    # merges such levels before it calls the kernel.
     with pytest.raises(NumericalRangeError, match="left float range"):
         spectral.rank_one_eigh([0.0, 5e-324, 1.0], np.full(3, 1.0 / 3.0), [8.0])
 
