@@ -6,6 +6,7 @@ configuration, 3 for an unresolvable degeneracy, 4 for a numerical failure.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral, Real
 
 
@@ -89,6 +90,15 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """Python and NumPy reals, integers included, count; bools and strings do not."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """is_real and finite in float64; NaN, infinities and integers beyond
+    float range are not."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_count(name: str, value, minimum: int) -> int:

@@ -12,7 +12,10 @@ exactly in the K-dimensional basis of the level sets of the problem
 diagonal, K <= N being the number of its distinct values: a slice costs
 O(K^2), a few O(K) root steps per eigenvalue plus two products with
 eigenvectors formed a block of rows at a time, so memory grows with K and
-no N x N matrix is formed.  Other driver penalties take one dense
+no N x N matrix is formed.  With spectral.WARM_MIN_STEPS slices or more,
+only every spectral.ANCHOR-th slice and the last start their roots at
+the bracket midpoints; the slices between start from those roots,
+interpolated, and take fewer steps.  Other driver penalties take one dense
 interpolation and one full eigendecomposition, O(N^3), per slice.
 """
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, NormalizationError
-from .errors import NumericalRangeError, check_count, is_real
+from .errors import NumericalRangeError, check_count, is_finite_real
 from .hamiltonians import (
     DiagonalHamiltonian,
     InitialHamiltonian,
@@ -100,7 +103,7 @@ def evolve(
         Hamiltonians commute, since the run then cannot steer the state.
     """
     check_pair(h0, hw)
-    if not (is_real(total_time) and total_time >= 0 and np.isfinite(total_time)):
+    if not (is_finite_real(total_time) and total_time >= 0):
         raise ConfigurationError(f"total_time must be a finite number >= 0, got {total_time!r}")
     steps = check_count("steps", steps, 1)
     dt = total_time / steps

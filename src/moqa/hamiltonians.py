@@ -21,6 +21,7 @@ from .errors import (
     HermiticityError,
     InvalidInitialValuesError,
     check_count,
+    is_finite_real,
 )
 from .mco import Linearization, McoInstance, scalarize
 
@@ -65,7 +66,8 @@ class InitialHamiltonian:
             (uniform superposition) must be exactly 0 and every other entry
             at least 1, so the uniform superposition is the unique ground
             state with eigenvalue 0.
-        scale: Positive prefactor multiplying the whole operator.
+        scale: Positive prefactor multiplying the whole operator: a
+            finite real number, not a bool.
     """
 
     h_values: np.ndarray
@@ -83,7 +85,7 @@ class InitialHamiltonian:
             raise InvalidInitialValuesError(
                 "penalties of excited states must be finite and >= 1"
             )
-        if not (self.scale > 0 and np.isfinite(self.scale)):
+        if not (is_finite_real(self.scale) and self.scale > 0):
             raise InvalidInitialValuesError("scale must be positive and finite")
         h.setflags(write=False)
         object.__setattr__(self, "h_values", h)

@@ -693,6 +693,19 @@ def test_evolve_negative_seed_rejected_before_the_schedule(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gap-scan", "evolve"])
+def test_bool_initial_scale_is_refused_with_exit_1(tmp_path, monkeypatch, capsys, command):
+    # --initial-scale parses as a float, so a bool can only arrive as the
+    # default; InitialHamiltonian refuses it instead of running at scale 1.0.
+    monkeypatch.setattr(cli, "DEFAULT_INITIAL_SCALE", True)
+    out, curve = tmp_path / "out.json", tmp_path / "curve.csv"
+    extra = {"gap-scan": ["--points", "8", "--curve", str(curve)], "evolve": ["--T", "5"]}
+    code = main([command, "--builtin", "--w", "0.5", *extra[command], "--output", str(out)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == "error: scale must be positive and finite\n"
+    assert not out.exists() and not curve.exists()
+
+
 def test_evolve_overflowing_phases_is_numerical_failure(tmp_path, capsys):
     out, hist = tmp_path / "evo.json", tmp_path / "hist.csv"
     code = main(["evolve", "--builtin", "--w", "0.5", "--T", "1e308", "--steps", "1",

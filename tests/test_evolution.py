@@ -153,9 +153,12 @@ def test_rejects_non_finite_tie_tolerance_before_the_schedule(system, monkeypatc
 
 
 @pytest.mark.parametrize("h_values", [None, [0.0, 1.0, 2.0, 3.0]], ids=["default", "nondefault"])
-@pytest.mark.parametrize("total_time", [True, "1.0", None, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("total_time", [
+    True, "1.0", None, -1.0, np.nan, np.inf, pytest.param(10**400, id="int_1e400")
+])
 def test_rejects_bad_total_time_before_the_schedule(monkeypatch, h_values, total_time):
-    # True would otherwise run a T = 1 schedule.
+    # True would otherwise run a T = 1 schedule; an int beyond float range
+    # would fail inside numpy with a bare TypeError.
     refuse_slices(monkeypatch)
     h0 = build_initial(2, h_values=h_values)
     hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 7.0]))
@@ -224,6 +227,10 @@ ULPS = np.nextafter(1.0, 2.0) - 1.0
 @example(case=(3.0, np.array([0.0, 5e-324, 1e-310, 2.5]), 9.0, 8))  # subnormal gaps
 @example(case=(1000.0, np.array([0.0, 2.0, 1.0, 6.0]), 2.0, 8))
 @example(case=(0.25, np.array([3.0, 1.0, 2.0, 2.0 + 4 * ULPS]), 20.0, 8))
+# Long enough for warm starts: ulps apart, one level, subnormal gaps.
+@example(case=(3.0, 1.0 + ULPS * np.array([0, 1, 2, 2, 3, 5, 8, 200.0]), 15.0, 41))
+@example(case=(0.25, np.full(16, 4.5), 7.0, 40))
+@example(case=(3.0, np.array([0.0, 5e-324, 1e-310, 2.5]), 9.0, 33))
 def test_level_basis_matches_dense_path_and_reference(case):
     scale, diag, total_time, steps = case
     h0 = build_initial(diag.size.bit_length() - 1, scale=scale)
@@ -241,6 +248,32 @@ def test_level_basis_matches_dense_path_and_reference(case):
     assert (res.ground_fidelity is None) == (dense.ground_fidelity is None)
     if res.ground_fidelity is not None:
         assert abs(res.ground_fidelity - dense.ground_fidelity) <= 1e-9
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["unique_min", "tied_min"])
+@pytest.mark.parametrize("steps", [4, 76])
+def test_warm_started_schedule_matches_dense_path(monkeypatch, tied, steps):
+    # 76 slices start warm from anchors at 0, 8, ..., 72 and 75, so the
+    # last stretch between anchors is shorter than the others; 4 slices
+    # are all solved from the bracket midpoints, in one call.
+    warm = steps >= spectral.WARM_MIN_STEPS
+    assert warm == (steps == 76)
+    guessed, kernel = [], spectral.rank_one_eigh
+
+    def spy(levels, weights, couplings, guess=None):
+        guessed.append(guess is not None)
+        return kernel(levels, weights, couplings, guess)
+
+    monkeypatch.setattr(spectral, "rank_one_eigh", spy)
+    diag = np.random.default_rng(11).uniform(0.0, 9.0, 32)
+    if tied:
+        diag[np.argsort(diag)[1]] = diag.min()
+    h0, hw = build_initial(5), DiagonalHamiltonian(diag)
+    res = evolve(h0, hw, 30.0, steps=steps)
+    assert guessed == [False, True][: 1 + warm]
+    dense = dense_path(h0, hw, 30.0, steps)
+    assert np.max(np.abs(res.final_state - dense.final_state)) <= 1e-9
+    assert np.max(np.abs(res.distribution - dense.distribution)) <= 1e-9
 
 
 def test_slow_evolution_reaches_ground_state():

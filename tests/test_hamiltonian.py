@@ -96,6 +96,15 @@ def test_driver_rejects_nonpositive_scale():
         build_initial(2, scale=0.0)
 
 
+@pytest.mark.parametrize("scale", [True, False, "2.0", None, 10**400],
+                         ids=["true", "false", "str", "none", "int_1e400"])
+def test_driver_rejects_non_real_scale(scale):
+    # True would otherwise build a driver of scale 1.0.
+    with pytest.raises(InvalidInitialValuesError, match="scale must be positive") as info:
+        build_initial(2, scale=scale)
+    assert info.value.exit_code == 1
+
+
 def test_custom_spectrum_requires_zero_first():
     with pytest.raises(InvalidInitialValuesError):
         build_initial(1, h_values=[0.5, 1.0])

@@ -171,7 +171,9 @@ def test_degeneracy_tolerance_window():
     assert degeneracy_check(hw, tol=1e-12).multiplicity == 1
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, True, "1e-9"])
+@pytest.mark.parametrize("tol", [
+    np.nan, np.inf, -1e-9, True, "1e-9", pytest.param(10**400, id="int_1e400")
+])
 def test_degeneracy_rejects_bad_tolerance(tol):
     # True would otherwise be a tolerance of 1.0 and tie rows 1 and 2.
     hw = DiagonalHamiltonian(np.array([3.0, 1.0, 2.0, 5.0]))
@@ -228,6 +230,19 @@ def test_runtime_estimate_rejects_nonpositive_gap():
 def test_runtime_estimate_outside_float_range(g_min, dmax):
     with pytest.raises(NumericalRangeError, match="do not fit in float64"):
         runtime_estimate(g_min, dmax)
+
+
+@pytest.mark.parametrize("g_min, dmax, gap_floor", [
+    (True, 1.0, None), ("0.5", 1.0, None), (None, 1.0, None),
+    (0.5, True, None), (0.5, "1.0", None), (0.5, None, None),
+    (0.5, 1.0, True), (0.5, 1.0, "0.25"),
+], ids=["g_min_bool", "g_min_str", "g_min_none", "dmax_bool", "dmax_str", "dmax_none",
+        "floor_bool", "floor_str"])
+def test_runtime_estimate_rejects_non_real_inputs(g_min, dmax, gap_floor):
+    # True would otherwise be a gap of 1.0, kept as the bool gap floor.
+    with pytest.raises(ConfigurationError, match="must be a real number") as info:
+        runtime_estimate(g_min, dmax, gap_floor=gap_floor)
+    assert info.value.exit_code == 1
 
 
 def test_runtime_estimate_rejects_bad_delta():
@@ -390,10 +405,10 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
 # default-driver schedule
 
 
-def _eigenpairs(levels, weights, couplings):
+def _eigenpairs(levels, weights, couplings, guess=None):
     """Eigenvalues per problem, and each problem's vectors as columns."""
     levels = np.asarray(levels, dtype=np.float64)
-    pole, offset, zhat = spectral.rank_one_eigh(levels, weights, couplings)
+    pole, offset, zhat = spectral.rank_one_eigh(levels, weights, couplings, guess)
     vectors = [spectral.rank_one_vectors(levels, *row).T for row in zip(zhat, pole, offset)]
     return levels[pole] + offset, np.array(vectors)
 
@@ -423,13 +438,13 @@ def _kernel_cases():
     yield pytest.param(levels, weights / weights.sum(), id="tiny_weights")
 
 
-@pytest.mark.parametrize("levels, weights", _kernel_cases())
-def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
-    # g = (1 - s) * scale / s for s from 1e-9 (near the start of the
-    # schedule) to 1 - 1e-6, at the default scale.
-    s = np.array([1e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-6])
-    couplings = (1.0 - s) * 8.0 / s
-    values, vectors = _eigenpairs(levels, weights, couplings)
+# g = (1 - s) * scale / s for s from 1e-9 (near the start of the schedule)
+# to 1 - 1e-6, at the default scale.
+KERNEL_S = np.array([1e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-6])
+KERNEL_COUPLINGS = (1.0 - KERNEL_S) * 8.0 / KERNEL_S
+
+
+def _assert_dense_eigenpairs(levels, weights, couplings, values, vectors):
     z = np.sqrt(weights)
     for g, vals, vecs in zip(couplings, values, vectors):
         mat = np.diag(levels) - g * np.outer(z, z)
@@ -439,6 +454,120 @@ def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
         assert np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(levels.size))) <= 1e-13
         assert np.max(np.abs(mat @ vecs - vecs * vals)) <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
+    values, vectors = _eigenpairs(levels, weights, KERNEL_COUPLINGS)
+    _assert_dense_eigenpairs(levels, weights, KERNEL_COUPLINGS, values, vectors)
+
+
+def _starts(levels, pole, offset):
+    """Guesses for the roots levels[pole] + offset, one kind per name."""
+    k = np.arange(levels.size)
+    left, right = np.maximum(k - 1, 0), np.maximum(k, 1)
+    far = np.where(pole == left, right, left)
+    # Root 0 has no right pole: a guess naming pole 1 is taken from pole 0.
+    return {
+        "root": (pole, offset),
+        "left_end": (np.broadcast_to(left, pole.shape), np.zeros(pole.shape)),
+        "right_end": (np.broadcast_to(right, pole.shape), np.zeros(pole.shape)),
+        "far_pole": (far, (levels[pole] - levels[far]) + offset),
+        "below": (pole, np.full(pole.shape, -np.inf)),
+        "above": (pole, np.full(pole.shape, 1e300)),
+    }
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_guessed_rank_one_eigh_matches_cold(levels, weights):
+    # Guesses on the root, at either end of the bracket, from the far pole
+    # and outside the bracket all reach the cold solve's accuracy.
+    cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    cold_values = levels[cold[0]] + cold[1]
+    for name, guess in _starts(levels, *cold[:2]).items():
+        values, vectors = _eigenpairs(levels, weights, KERNEL_COUPLINGS, guess)
+        _assert_dense_eigenpairs(levels, weights, KERNEL_COUPLINGS, values, vectors)
+        norm = np.max(np.abs(values), axis=1, keepdims=True)
+        assert np.all(np.abs(values - cold_values) <= 1e-14 * norm), name
+
+
+def test_guess_in_root_major_layout_receives_the_roots():
+    (levels, weights), = [case.values for case in _kernel_cases() if case.id == "unit"]
+    cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    pole, offset = (part.T.copy() for part in cold[:2])
+    offset *= 0.5
+    warm = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, (pole.T, offset.T))
+    assert np.shares_memory(warm[0], pole) and np.shares_memory(warm[1], offset)
+    assert np.max(np.abs(warm[1] - cold[1]) / np.abs(cold[1])) <= 1e-14
+    # A solve without a guess is the cold one, bit for bit.
+    again = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    assert all(new.tobytes() == old.tobytes() for new, old in zip(again, cold))
+
+
+def test_warm_starts_follow_the_anchor_rule(monkeypatch):
+    # 100 slices: anchors at 0, 8, ..., 96 and 99.
+    levels, counts = np.unique(
+        build_final(builtin_instance(), Linearization.pair(0.57)).diagonal, return_counts=True
+    )
+    weights, steps = counts / 128.0, 100
+    s = (np.arange(steps) + 0.5) / steps
+    couplings = (1.0 - s) * 8.0 / s
+    kernel, calls = spectral.rank_one_eigh, []
+
+    def recorded(levels, weights, couplings, guess=None):
+        calls.append((couplings, None if guess is None else [part.copy() for part in guess]))
+        return kernel(levels, weights, couplings, guess)
+
+    monkeypatch.setattr(spectral, "rank_one_eigh", recorded)
+    out = list(spectral._slice_roots(levels, weights, couplings, np.arange(steps)))
+    (anchors, cold_guess), (warm, guess) = calls
+    assert cold_guess is None
+    assert anchors.tolist() == couplings[[*range(0, steps, 8), steps - 1]].tolist()
+    rows = [k for k in range(steps) if k % 8 and k != steps - 1]
+    assert warm.tolist() == couplings[rows].tolist()
+    for (pole, offset), k in zip(zip(*guess), rows):
+        below, above = k - k % 8, min(k - k % 8 + 8, steps - 1)
+        t = (k - below) / (above - below)
+        (p0, o0, _), (p1, o1, _) = out[below], out[above]
+        near_p, near_o = (p1, o1) if t > 0.5 else (p0, o0)
+        assert pole.tolist() == near_p.tolist()
+        expected = np.where(p0 == p1, o0 + t * (o1 - o0), near_o)
+        assert offset.tobytes() == expected.tobytes()
+
+
+def test_warm_starts_cut_root_steps_on_the_bundled_schedule(monkeypatch):
+    # Each step of the iteration solves two model quadratics over the rows
+    # still active, so their sizes count the secular-function evaluations.
+    levels, counts = np.unique(
+        build_final(builtin_instance(), Linearization.pair(0.57)).diagonal, return_counts=True
+    )
+    s = (np.arange(512) + 0.5) / 512
+    couplings = (1.0 - s) * 8.0 / s
+    quadratic, evaluations = spectral._quadratic_roots, []
+
+    def counted(*args):
+        evaluations.append(args[0].size)
+        return quadratic(*args)
+
+    monkeypatch.setattr(spectral, "_quadratic_roots", counted)
+
+    def per_root():
+        evaluations.clear()
+        for _ in spectral._slice_roots(levels, counts / 128.0, couplings, np.arange(512)):
+            pass
+        return sum(evaluations) / 2 / (512 * levels.size)
+
+    warm = per_root()
+    monkeypatch.setattr(spectral, "WARM_MIN_STEPS", 513)
+    cold = per_root()
+    assert cold > 4.0 and warm < 2.6
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_rank_one_eigh_without_problems_returns_empty_results(size):
+    levels = np.arange(1.0, size + 1.0)
+    results = spectral.rank_one_eigh(levels, np.full(size, 1.0 / size), np.array([]))
+    assert [part.shape for part in results] == [(0, size)] * 3
 
 
 def test_rank_one_eigh_single_level_is_closed_form():
@@ -522,7 +651,11 @@ def test_default_driver_endpoints_only_and_one_level(diag, points):
     assert abs(delta_max(h0, hw) - dmax) <= 1e-13 * dmax
 
 
-@pytest.mark.parametrize("block", [1, 1 << 10])
+# evolve's 64 slices take warm starts from anchors 8 slices apart.  Its
+# chunks of slices are 1 slice long at block 1, and at K = 128 they are 8
+# long at block 1 << 10 and 6 long at block 768, so the chunk edges fall
+# on anchors and inside the slices between them.
+@pytest.mark.parametrize("block", [1, 1 << 10, 768])
 def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
     h0 = build_initial(7)
     unique = build_final(builtin_instance(), Linearization.pair(0.57))
@@ -537,15 +670,32 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
     else:
         run = (h0, unique)
 
+    assert 64 >= spectral.WARM_MIN_STEPS and spectral.ANCHOR == 8
+    kernel = spectral.rank_one_eigh
+
     def results():
         curves = [gap_scan(*pair, points=33) for pair in problems]
         roots = spectral.rank_one_eigh(levels, weights, couplings)
-        state = evolve(*run, 20.0, steps=64).final_state
-        return curves, [delta_max(*pair) for pair in problems], roots, state
+        # Each evolve slice's roots and weights, by its coupling.
+        slices = {}
 
-    curves, dmax, (pole, offset, zhat), state = results()
+        def recorded(*args):
+            out = kernel(*args)
+            for g, *row in zip(args[2], *out):
+                slices[g] = b"".join(part.tobytes() for part in row)
+            return out
+
+        monkeypatch.setattr(spectral, "rank_one_eigh", recorded)
+        state = evolve(*run, 20.0, steps=64).final_state
+        monkeypatch.setattr(spectral, "rank_one_eigh", kernel)
+        return curves, [delta_max(*pair) for pair in problems], roots, state, slices
+
+    curves, dmax, (pole, offset, zhat), state, slices = results()
     monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
-    new_curves, new_dmax, (new_pole, new_offset, new_zhat), new_state = results()
+    new_curves, new_dmax, (new_pole, new_offset, new_zhat), new_state, new_slices = results()
+    # Anchors start at the bracket midpoints and the other slices start from
+    # them, so no slice's roots depend on where the chunks of slices end.
+    assert len(slices) == 64 and new_slices == slices
     for curve, new in zip(curves, new_curves):
         for name in ("lambda0", "lambda1", "gap"):
             assert getattr(new, name).tobytes() == getattr(curve, name).tobytes()
