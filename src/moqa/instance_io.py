@@ -9,6 +9,7 @@ CSV (same stem, ``.json`` extension).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -17,6 +18,9 @@ import numpy as np
 
 from .errors import InstanceFormatError
 from .mco import McoInstance
+
+# Characters of a table parsed in one slice by _parse_table.
+_PARSE_CHARS = 1 << 16
 
 
 def sidecar_path(csv_path) -> Path:
@@ -39,7 +43,7 @@ def write_text_atomic(path, text: str) -> None:
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -59,54 +63,19 @@ def read_instance(csv_path) -> McoInstance:
         entry (None without one); override it with with_lambda.
 
     Raises:
-        InstanceFormatError: On malformed headers, gaps or duplicates in the
-            index column, non-numeric or negative values, a row count
-            that does not cover a full power-of-two domain, or a sidecar
-            field that is not numeric, an n, d or label_offset that is
-            not an integer, or an n or d that disagrees with the table.
+        InstanceFormatError: On a table or sidecar that is not UTF-8
+            text, malformed headers, gaps or duplicates in the index
+            column, non-numeric or negative values, a row count that does
+            not cover a full power-of-two domain, or a sidecar field that
+            is not numeric, an n, d or label_offset that is not an integer,
+            or an n or d that disagrees with the table.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InstanceFormatError(f"{csv_path}: empty file") from None
-        d = len(header) - 1
-        if d < 2 or header[0] != "x" or header[1:] != [f"f{i+1}" for i in range(d)]:
-            raise InstanceFormatError(
-                f"{csv_path}: header must be x,f1,...,fd with d >= 2; got {header}"
-            )
-        rows: list[list[float]] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != d + 1:
-                raise InstanceFormatError(
-                    f"{csv_path}:{lineno}: expected {d + 1} fields, got {len(rec)}"
-                )
-            try:
-                x = int(rec[0])
-                vals = [float(v) for v in rec[1:]]
-            except ValueError as exc:
-                raise InstanceFormatError(f"{csv_path}:{lineno}: {exc}") from None
-            if x != len(rows):
-                if 0 <= x < len(rows):
-                    raise InstanceFormatError(
-                        f"{csv_path}:{lineno}: duplicate index {x}"
-                    )
-                raise InstanceFormatError(
-                    f"{csv_path}:{lineno}: index {x} out of order; "
-                    f"expected {len(rows)} (gaps are not allowed)"
-                )
-            if any(v < 0 for v in vals):
-                raise InstanceFormatError(
-                    f"{csv_path}:{lineno}: negative objective value"
-                )
-            rows.append(vals)
-    if not rows:
-        raise InstanceFormatError(f"{csv_path}: no data rows")
-    size = len(rows)
+    text = _read_utf8(csv_path, newline="")
+    table = _parse_table(text)
+    if table is None:
+        table = _parse_rows(csv_path, text)
+    size, d = table.shape
     if size & (size - 1) or size < 2:
         raise InstanceFormatError(
             f"{csv_path}: {size} rows do not cover a full 2^n domain"
@@ -115,11 +84,10 @@ def read_instance(csv_path) -> McoInstance:
     lam, label_offset = None, 0
     meta = sidecar_path(csv_path)
     if meta.exists():
-        with open(meta) as fh:
-            try:
-                info = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceFormatError(f"{meta}: {exc}") from None
+        try:
+            info = json.loads(_read_utf8(meta))
+        except json.JSONDecodeError as exc:
+            raise InstanceFormatError(f"{meta}: {exc}") from None
         if not isinstance(info, dict):
             raise InstanceFormatError(f"{meta}: sidecar must be a JSON object")
         n = size.bit_length() - 1
@@ -136,7 +104,112 @@ def read_instance(csv_path) -> McoInstance:
         if "label_offset" in info:
             label_offset = _sidecar_field(meta, info, "label_offset", _exact_int)
 
-    return McoInstance(np.asarray(rows), lam, label_offset)
+    return McoInstance(table, lam, label_offset)
+
+
+def _read_utf8(path: Path, newline=None) -> str:
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+
+
+def _parse_table(text: str) -> np.ndarray | None:
+    """The (N, d) values of a table that _parse_rows would accept, parsed
+    as arrays, or None when the text needs _parse_rows.
+
+    numpy casts each field with Python's int() and float(), so every
+    spelling they accept reads the same.  The text is taken only when it
+    has no quote or carriage return, so that csv.reader would split it at
+    every comma and newline, its header is right, every body line holds
+    exactly d + 1 fields, the index column is 0, 1, 2, ... and no value is
+    negative.  Anything else, an unparsable field included, is left to
+    _parse_rows, which raises the error it always has.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    newline = text.find("\n")
+    header = text[:newline].split(",")
+    d = len(header) - 1
+    if newline < 0 or d < 2 or header != ["x", *(f"f{i+1}" for i in range(d))]:
+        return None
+    stop = len(text) - text.endswith("\n")
+    size = text.count("\n", newline + 1, stop) + 1
+    index, table = np.empty(size, np.int64), np.empty((size, d + 1))
+    # A slice of whole lines at a time, so that only one slice's
+    # temporaries and field strings are alive at once.
+    row, start = 0, newline + 1
+    while row < size:
+        end = text.find("\n", start + _PARSE_CHARS, stop)
+        end = stop if end < 0 else end
+        lines = text[start:end]
+        # The commas and newlines in order: a newline must end every
+        # (d+1)-th field and no other, and no field may outgrow csv's limit.
+        raw = np.frombuffer(lines.encode(), np.uint8)
+        at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        ends = np.flatnonzero(raw[at] == ord("\n"))
+        if (at.size % (d + 1) != d or not np.array_equal(ends, np.arange(d, at.size, d + 1))
+                or np.diff(at, prepend=-1, append=raw.size).max() > csv.field_size_limit() + 1):
+            return None
+        fields = lines.replace("\n", ",").split(",")
+        rows = slice(row, row + len(fields) // (d + 1))
+        try:
+            index[rows] = np.array(fields[::d + 1], dtype=np.int64)
+            table[rows] = np.array(fields, dtype=np.float64).reshape(-1, d + 1)
+        except (ValueError, OverflowError):
+            return None
+        row, start = rows.stop, end + 1
+    if not np.array_equal(index, np.arange(size)) or (table < 0).any():
+        return None
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _parse_rows(csv_path: Path, text: str) -> np.ndarray:
+    """The table's values, read row by row with csv.reader; raises
+    InstanceFormatError at the first malformed line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InstanceFormatError(f"{csv_path}: empty file") from None
+    d = len(header) - 1
+    if d < 2 or header[0] != "x" or header[1:] != [f"f{i+1}" for i in range(d)]:
+        raise InstanceFormatError(
+            f"{csv_path}: header must be x,f1,...,fd with d >= 2; got {header}"
+        )
+    rows: list[list[float]] = []
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != d + 1:
+            raise InstanceFormatError(
+                f"{csv_path}:{lineno}: expected {d + 1} fields, got {len(rec)}"
+            )
+        try:
+            x = int(rec[0])
+            vals = [float(v) for v in rec[1:]]
+        except ValueError as exc:
+            raise InstanceFormatError(f"{csv_path}:{lineno}: {exc}") from None
+        if x != len(rows):
+            if 0 <= x < len(rows):
+                raise InstanceFormatError(
+                    f"{csv_path}:{lineno}: duplicate index {x}"
+                )
+            raise InstanceFormatError(
+                f"{csv_path}:{lineno}: index {x} out of order; "
+                f"expected {len(rows)} (gaps are not allowed)"
+            )
+        if any(v < 0 for v in vals):
+            raise InstanceFormatError(
+                f"{csv_path}:{lineno}: negative objective value"
+            )
+        rows.append(vals)
+    if not rows:
+        raise InstanceFormatError(f"{csv_path}: no data rows")
+    return np.asarray(rows)
 
 
 def _sidecar_field(meta: Path, info: dict, key: str, convert):

@@ -340,12 +340,26 @@ def _supported_by_lp(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ..
 
 def _supported_by_hull(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ...]:
     vals = inst.values[list(front)]
-    # np.unique sorts the distinct rows by f1, then f2.
-    chain: list[np.ndarray] = []
-    for p in np.unique(vals, axis=0):
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+    top = vals.max()
+    if top > 2.0**500:
+        # A cross product reaches 2 * top**2, which overflows once top nears
+        # 2**512.  Support does not change with scale, and a power-of-two
+        # scale is exact short of underflow, so top moves into
+        # [2**499, 2**500); smaller tables keep their bits.
+        vals = np.ldexp(vals, 500 - np.frexp(top)[1])
+    # The distinct rows sorted by f1, then f2, and their lower-left chain.
+    rows = vals[np.lexsort((vals[:, 1], vals[:, 0]))]
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    # The chain runs on Python floats: the same IEEE products and
+    # differences as _cross, without numpy's per-call overhead.
+    chain: list[tuple[float, float]] = []
+    for x, y in rows.tolist():
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                break
             chain.pop()
-        chain.append(p)
+        chain.append((x, y))
     hull = np.array(chain)
     # Distinct front rows have strictly increasing f1 and strictly decreasing
     # f2.  So with k the last vertex whose f1 does not exceed a row's, the row

@@ -230,8 +230,8 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     eigenvectors in blocks of as many rows.
 
     A schedule of at least WARM_MIN_STEPS slices starts most roots warm.
-    Its anchors, every ANCHOR-th slice and the last, are solved from the
-    bracket midpoints.  Every other slice starts each root from the roots
+    Its anchors, every ANCHOR-th slice and the last, are solved once each
+    from the bracket midpoints.  Every other slice starts each root from the roots
     of the two anchors around it: interpolated linearly in the slice index
     when both share a pole, else at the nearer anchor's.  An anchor depends
     only on its coupling, so no root depends on RANK_ONE_BLOCK.  Shorter
@@ -259,59 +259,68 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     coupling = (1.0 - s_mid) * scale
     couplings = coupling / s_mid
     block = max(1, RANK_ONE_BLOCK // levels.size)
-    for start in range(0, steps, block):
-        part = np.arange(start, min(start + block, steps))
-        for k, (pole, offset, zhat) in zip(part, _slice_roots(levels, weights, couplings, part)):
-            phases = np.exp(-1j * dt * (coupling[k] + s_mid[k] * (levels[pole] + offset)))
-            # The real eigenvectors act on the real and imaginary parts as
-            # the two columns of one matrix product.
-            state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
-            for rows in range(0, levels.size, block):
-                b = slice(rows, rows + block)
-                vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
-                amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
-                new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
-            psi = new.view(np.complex128).ravel()
-            drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
+    for k, (pole, offset, zhat) in enumerate(_slice_roots(levels, weights, couplings, block)):
+        phases = np.exp(-1j * dt * (coupling[k] + s_mid[k] * (levels[pole] + offset)))
+        # The real eigenvectors act on the real and imaginary parts as
+        # the two columns of one matrix product.
+        state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
+        for rows in range(0, levels.size, block):
+            b = slice(rows, rows + block)
+            vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
+            amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
+            new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
+        psi = new.view(np.complex128).ravel()
+        drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
     psi = psi[inverse] / np.sqrt(counts[inverse])
     return psi, max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
 
 
-def _slice_roots(levels, weights, couplings, part):
-    """rank_one_eigh's (pole, offset, zhat) for each slice in part, in
-    order, of the schedule whose slice couplings are couplings, with the
-    warm starts that rank_one_evolve describes."""
+def _slice_roots(levels, weights, couplings, block):
+    """rank_one_eigh's (pole, offset, zhat) for each slice, in order, of the
+    schedule whose slice couplings are couplings, solved block slices at a
+    time with the warm starts that rank_one_evolve describes."""
     steps = couplings.size
     if steps < WARM_MIN_STEPS:
-        yield from zip(*rank_one_eigh(levels, weights, couplings[part]))
+        for start in range(0, steps, block):
+            yield from zip(*rank_one_eigh(levels, weights, couplings[start:start + block]))
         return
-    at_anchor = (part % ANCHOR == 0) | (part == steps - 1)
-    # The anchors from the one at or before part's first slice to the one
-    # at or after its last.
-    last = min(-(-part[-1] // ANCHOR) * ANCHOR, steps - 1)
-    span = np.arange(part[0] - part[0] % ANCHOR, last + 1)
-    anchors = span[(span % ANCHOR == 0) | (span == steps - 1)]
-    warm = part[~at_anchor]
-    below = warm - warm % ANCHOR
-    above = np.minimum(below + ANCHOR, steps - 1)
-    # The starts take one slice per column, so rank_one_eigh's root-major
-    # rows are their memory and the roots land in place.  Made before the
-    # anchors' temporaries, they do not pin the top of the heap.
-    pole, offset = np.empty((levels.size, warm.size), np.intp), np.empty((levels.size, warm.size))
-    cold = rank_one_eigh(levels, weights, couplings[anchors])
-    t = (warm - below) / (above - below)
-    below, above = np.searchsorted(anchors, below), np.searchsorted(anchors, above)
-    poles, offsets = cold[0].T, cold[1].T
-    near = np.where(t > 0.5, above, below)
-    np.take(poles, near, axis=1, out=pole)
-    np.take(offsets, below, axis=1, out=offset)
-    offset += t * (np.take(offsets, above, axis=1) - offset)
-    # A root whose anchors differ in pole starts at the nearer one's root.
-    split = np.take(poles, below, axis=1) != np.take(poles, above, axis=1)
-    np.copyto(offset, np.take(offsets, near, axis=1), where=split)
-    warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T)))
-    for k, is_anchor in zip(part, at_anchor):
-        yield tuple(x[np.searchsorted(anchors, k)] for x in cold) if is_anchor else next(warmed)
+    done = solved = None
+    for start in range(0, steps, block):
+        part = np.arange(start, min(start + block, steps))
+        at_anchor = (part % ANCHOR == 0) | (part == steps - 1)
+        # The anchors from the one at or before part's first slice to the
+        # one at or after its last.  Those the previous block solved, one or
+        # two at its end, are taken from it.
+        last = min(-(-part[-1] // ANCHOR) * ANCHOR, steps - 1)
+        span = np.arange(part[0] - part[0] % ANCHOR, last + 1)
+        anchors = span[(span % ANCHOR == 0) | (span == steps - 1)]
+        warm = part[~at_anchor]
+        below = warm - warm % ANCHOR
+        above = np.minimum(below + ANCHOR, steps - 1)
+        # The starts take one slice per column, so rank_one_eigh's root-major
+        # rows are their memory and the roots land in place.  Made before the
+        # anchors' temporaries, they do not pin the top of the heap.
+        pole = np.empty((levels.size, warm.size), np.intp)
+        offset = np.empty((levels.size, warm.size))
+        again = anchors[:0] if done is None else anchors[anchors <= done[-1]]
+        cold = rank_one_eigh(levels, weights, couplings[anchors[again.size:]])
+        if again.size:
+            rows = np.searchsorted(done, again)
+            cold = tuple(np.concatenate((old[rows], new)) for old, new in zip(solved, cold))
+        done, solved = anchors[-2:], tuple(x[-2:].copy() for x in cold)
+        t = (warm - below) / (above - below)
+        below, above = np.searchsorted(anchors, below), np.searchsorted(anchors, above)
+        poles, offsets = cold[0].T, cold[1].T
+        near = np.where(t > 0.5, above, below)
+        np.take(poles, near, axis=1, out=pole)
+        np.take(offsets, below, axis=1, out=offset)
+        offset += t * (np.take(offsets, above, axis=1) - offset)
+        # A root whose anchors differ in pole starts at the nearer one's root.
+        split = np.take(poles, below, axis=1) != np.take(poles, above, axis=1)
+        np.copyto(offset, np.take(offsets, near, axis=1), where=split)
+        warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T)))
+        for k, is_anchor in zip(part, at_anchor):
+            yield tuple(x[np.searchsorted(anchors, k)] for x in cold) if is_anchor else next(warmed)
 
 
 def secular_roots(levels, weights, k, g, guess=None) -> tuple[np.ndarray, np.ndarray]:

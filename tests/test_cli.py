@@ -249,6 +249,36 @@ def test_reader_error_messages(tmp_path, capsys, table, sidecar, message):
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@pytest.mark.parametrize("bad", ["csv", "sidecar"])
+def test_non_utf8_input_is_format_error(tmp_path, capsys, bad):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    csv_path.write_bytes(TWO_ROWS.encode() + (b"\xff\n" if bad == "csv" else b""))
+    json_path.write_bytes(b'{"d": 2}' + (b"\xff" if bad == "sidecar" else b""))
+    assert main(["validate", str(csv_path)]) == EXIT_IO
+    path, at = (csv_path, len(TWO_ROWS)) if bad == "csv" else (json_path, 8)
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text (invalid start byte at byte {at})\n"
+    )
+
+
+def test_front_of_huge_values_warns_nothing(tmp_path, capsys):
+    # Cross products of 1e300-scale rows overflow unless the hull rescales.
+    values = np.array([[0.0, 9.0], [1.0, 4.0], [4.0, 1.0], [9.0, 0.0],
+                       [3.0, 3.0], [2.0, 7.0], [6.0, 5.0], [8.0, 8.0]])
+    paths = []
+    for scale in (1.0, 1e300):
+        paths.append(tmp_path / f"t{scale:g}.csv")
+        write_instance(McoInstance(values * scale), paths[-1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "moqa", "front", str(paths[1])],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert main(["front", str(paths[0])]) == EXIT_OK
+    small = json.loads(capsys.readouterr().out)
+    assert json.loads(proc.stdout)["supported"] == small["supported"] == [0, 1, 2, 3]
+
+
 def test_reader_skips_blank_rows(tmp_path, capsys):
     fronts = []
     for name, table in [("plain", TWO_ROWS), ("blank", TWO_ROWS.replace("\n1,", "\n\n1,"))]:
@@ -909,6 +939,19 @@ def test_cli_import_leaves_scipy_module_unloaded(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_front_leaves_numpy_ma_unloaded():
+    # np.unique(..., axis=0) imports numpy.ma; the d = 2 hull does not call it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, moqa.cli; moqa.cli.main(['front', '--builtin']); "
+         "print('numpy.ma' in sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["method"] == "hull"
+    assert proc.stderr == "False\n"
 
 
 def test_version_flag_in_process():

@@ -5,6 +5,7 @@ written with plain loops (or an LP), never against the library's own
 vectorized code paths.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -398,6 +399,57 @@ def test_supported_hull_matches_per_edge_scan(n):
             assert sc.supported == oracle_hull_supported(inst.values, sc.pareto)
 
 
+def _unique_chain_supported(values, front):
+    """The d = 2 classification as np.unique's sorted rows, a monotone
+    chain over numpy rows and the vectorized on-chain test."""
+    def cross(o, a, b):
+        return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+                - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
+
+    vals = values[list(front)]
+    chain = []
+    for p in np.unique(vals, axis=0):
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    hull = np.array(chain)
+    k = np.searchsorted(hull[:, 0], vals[:, 0], side="right") - 1
+    a, b = hull[k], hull[np.minimum(k + 1, len(hull) - 1)]
+    span = np.maximum(np.abs(b - a).max(axis=1), 1.0)
+    reach = np.maximum(np.abs(vals - a).max(axis=1), 1.0)
+    on_chain = np.abs(cross(a, b, vals)) <= 1e-12 * span * reach
+    return tuple(np.asarray(front)[on_chain].tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_supported_hull_matches_unique_chain(n):
+    # Duplicate rows, signed zeros and scales from 1e-300 to 1e150, all
+    # below the 2**500 at which the hull rescales.
+    rng = np.random.default_rng(2000 + n)
+    size = 1 << n
+    for _ in range(40):
+        values = [*_hull_tables(rng, n), rng.integers(0, 4, (size, 2)).astype(float)]
+        zeros = np.stack([rng.permutation(size), rng.permutation(size)], axis=1).astype(float)
+        zeros[rng.random(size) < 0.3] = -0.0
+        values.append(zeros)
+        values += [table * scale for table in values[:3] for scale in (1e-300, 1e150)]
+        for table in values:
+            inst = make_instance(table)
+            sc = supported_solutions(inst)
+            assert sc.supported == _unique_chain_supported(inst.values, sc.pareto)
+
+
+def test_supported_hull_is_scale_invariant_at_huge_values():
+    # Cross products of values near 1e300 overflow without a rescale.
+    rng = np.random.default_rng(300)
+    for _ in range(500):
+        size = 1 << int(rng.integers(1, 7))
+        table = np.stack([rng.permutation(size), rng.permutation(size)], axis=1).astype(float)
+        with np.errstate(all="raise"):
+            huge = supported_solutions(make_instance(table * 1e300))
+        assert huge.supported == supported_solutions(make_instance(table)).supported
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_supported_matches_lp_oracle_more_objectives(rng, d):
     for _ in range(8):
@@ -572,4 +624,142 @@ def test_read_rejects_inconsistent_sidecar(tmp_path):
     path.write_text("x,f1,f2\n0,1.0,2.0\n1,2.0,1.0\n")
     (tmp_path / "inst.json").write_text(json.dumps({"n": 3, "d": 2}))
     with pytest.raises(InstanceFormatError):
+        read_instance(path)
+
+
+def _reference_read(path):
+    """read_instance without a sidecar, as a csv.reader loop over the rows:
+    the values' bytes, or the exception's type and message."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InstanceFormatError(f"{path}: empty file") from None
+            d = len(header) - 1
+            if d < 2 or header != ["x", *(f"f{i + 1}" for i in range(d))]:
+                raise InstanceFormatError(
+                    f"{path}: header must be x,f1,...,fd with d >= 2; got {header}"
+                )
+            rows = []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != d + 1:
+                    raise InstanceFormatError(
+                        f"{path}:{lineno}: expected {d + 1} fields, got {len(rec)}"
+                    )
+                try:
+                    x, vals = int(rec[0]), [float(v) for v in rec[1:]]
+                except ValueError as exc:
+                    raise InstanceFormatError(f"{path}:{lineno}: {exc}") from None
+                if x != len(rows):
+                    if 0 <= x < len(rows):
+                        raise InstanceFormatError(f"{path}:{lineno}: duplicate index {x}")
+                    raise InstanceFormatError(
+                        f"{path}:{lineno}: index {x} out of order; "
+                        f"expected {len(rows)} (gaps are not allowed)"
+                    )
+                if any(v < 0 for v in vals):
+                    raise InstanceFormatError(f"{path}:{lineno}: negative objective value")
+                rows.append(vals)
+        if not rows:
+            raise InstanceFormatError(f"{path}: no data rows")
+        if len(rows) & (len(rows) - 1) or len(rows) < 2:
+            raise InstanceFormatError(f"{path}: {len(rows)} rows do not cover a full 2^n domain")
+        return McoInstance(np.asarray(rows)).values.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Spellings that int() or float() accept and numpy may not, or that one of
+# them refuses: each must read as the row loop reads it.
+SPELLINGS = ["1_0", " 1 ", "+1", "01", "infinity", "nan", "-0", "-0.0", "1e400", "1e-400",
+             "\u0661\u0662", "\uff12", "\t2\x0b", "1.0", "0x10", "", " ", "1__0", "-1", "-inf",
+             "99999999999999999999", "2.5", "1e5"]
+
+
+def _fuzz_tables(rng):
+    """CSV texts around valid d = 2 and d = 3 tables, each with a few of
+    the spellings, layout faults and header faults mixed in."""
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    texts = []
+    for d in (2, 3):
+        header = "x," + ",".join(f"f{i + 1}" for i in range(d))
+        ok = [[str(x)] + [repr(v) for v in rng.uniform(0, 9, d).tolist()] for x in range(4)]
+        body = "\n".join(",".join(row) for row in ok)
+        texts += [header + "\n" + body + "\n", header + "\n" + body, header + "\n", header,
+                  header + "\n\n" + body, header + "\n" + body + "\n\n",
+                  header + "\r\n" + body.replace("\n", "\r\n") + "\r\n",
+                  header + "\n" + body.replace("1,", '"1",', 1) + "\n",
+                  header + "\n" + body.replace(",", "\r,", 1) + "\n",
+                  header + "\n" + body.replace(",", "," + "0" * csv.field_size_limit(), 1)
+                  + "\n",
+                  header + "\n" + body.replace("\n", "\n\n", 1) + "\n",
+                  "\n" + body + "\n", ""]
+        for spelling in SPELLINGS:
+            for column in range(d + 1):
+                rows = [row[:] for row in ok]
+                rows[rng.integers(4)][column] = spelling
+                texts.append(header + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        # Ragged rows whose field count is still a multiple of d + 1, and
+        # whose first fields still count 0, 1, 2, 3 once flattened.
+        ragged = {2: "0,1,2\n1,3\n4,2,5,6\n3,7,8", 3: "0,1,2,3\n1,4,5\n6,2,7,8,9\n3,1,1,1"}
+        texts.append(header + "\n" + ragged[d] + "\n")
+        for _ in range(60):
+            size = int(pick([2, 4, 8]))
+            rows = [[str(x)] + [repr(v) for v in rng.uniform(0, 9, d).tolist()]
+                    for x in range(size)]
+            for _ in range(int(rng.integers(0, 3))):
+                row = rows[rng.integers(size)]
+                row[rng.integers(d + 1)] = pick(SPELLINGS)
+            if rng.random() < 0.2:
+                row = rows[rng.integers(size)]
+                row.append("1") if rng.random() < 0.5 else row.pop()
+            if rng.random() < 0.1:
+                rows[0][0] = pick(["+0", "00", "0.0", "1", " 0"])
+            texts.append(header + "\n" + "\n".join(",".join(r) for r in rows)
+                         + pick(["\n", "", "\n\n"]))
+    return texts
+
+
+# At 1 character per slice the fast reader parses each line on its own.
+@pytest.mark.parametrize("chars", [1, 1 << 16])
+def test_reader_fast_path_matches_row_loop(tmp_path, monkeypatch, chars):
+    from moqa import instance_io
+
+    monkeypatch.setattr(instance_io, "_PARSE_CHARS", chars)
+    parse, fast = instance_io._parse_table, []
+
+    def recorded(text):
+        table = parse(text)
+        fast.append(table is not None)
+        return table
+
+    monkeypatch.setattr(instance_io, "_parse_table", recorded)
+    path = tmp_path / "t.csv"
+    texts = _fuzz_tables(np.random.default_rng(19))
+    for text in texts:
+        path.write_bytes(text.encode())
+        try:
+            got = read_instance(path)
+        except Exception as exc:
+            got = type(exc), str(exc)
+        else:
+            assert got.values.flags.c_contiguous
+            got = got.values.tobytes()
+        assert got == _reference_read(path), repr(text)
+    # Both parsers ran, and the accepted spellings went the fast way.
+    assert len(fast) == len(texts) and 100 < sum(fast) < len(texts) - 100
+
+
+def test_reader_rejects_ragged_rows_that_line_up(tmp_path):
+    # 12 fields in 4 rows of 3 with an index column 0..3 once flattened,
+    # but line 3 holds 2 fields.
+    path = tmp_path / "t.csv"
+    path.write_text("x,f1,f2\n0,1,2\n1,3\n4,2,5,6\n3,7,8\n")
+    with pytest.raises(InstanceFormatError, match=r":3: expected 3 fields, got 2$"):
         read_instance(path)

@@ -519,7 +519,7 @@ def test_warm_starts_follow_the_anchor_rule(monkeypatch):
         return kernel(levels, weights, couplings, guess)
 
     monkeypatch.setattr(spectral, "rank_one_eigh", recorded)
-    out = list(spectral._slice_roots(levels, weights, couplings, np.arange(steps)))
+    out = list(spectral._slice_roots(levels, weights, couplings, steps))
     (anchors, cold_guess), (warm, guess) = calls
     assert cold_guess is None
     assert anchors.tolist() == couplings[[*range(0, steps, 8), steps - 1]].tolist()
@@ -553,7 +553,7 @@ def test_warm_starts_cut_root_steps_on_the_bundled_schedule(monkeypatch):
 
     def per_root():
         evaluations.clear()
-        for _ in spectral._slice_roots(levels, counts / 128.0, couplings, np.arange(512)):
+        for _ in spectral._slice_roots(levels, counts / 128.0, couplings, 512):
             pass
         return sum(evaluations) / 2 / (512 * levels.size)
 
@@ -709,6 +709,26 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
     if block == 1:
         dense = dense_path(*run, 20.0, steps=64).final_state
         assert np.max(np.abs(new_state - dense)) <= 1e-9
+
+
+# At K = 32 the chunks of 64 slices are 1, 6 and 8 slices long, so a
+# chunk ends on an anchor, or between two anchors that the next chunk
+# needs as well.
+@pytest.mark.parametrize("chunk", [1, 6, 8])
+def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, chunk):
+    run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
+    kernel, rows = spectral.rank_one_eigh, []
+
+    def counted(levels, weights, couplings, guess=None):
+        rows.append(len(couplings))
+        return kernel(levels, weights, couplings, guess)
+
+    state = evolve(*run, 20.0, steps=64).final_state
+    monkeypatch.setattr(spectral, "rank_one_eigh", counted)
+    monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", chunk * 32)
+    chunked = evolve(*run, 20.0, steps=64).final_state
+    assert sum(rows) == 64
+    assert np.max(np.abs(chunked - state)) <= 1e-14
 
 
 @pytest.mark.parametrize("scale", [8.0, 0.25])
