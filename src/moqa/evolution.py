@@ -12,11 +12,15 @@ exactly in the K-dimensional basis of the level sets of the problem
 diagonal, K <= N being the number of its distinct values: a slice costs
 O(K^2), a few O(K) root steps per eigenvalue plus two products with
 eigenvectors formed a block of rows at a time, so memory grows with K and
-no N x N matrix is formed.  With spectral.WARM_MIN_STEPS slices or more,
-only every spectral.ANCHOR-th slice and the last start their roots at
-the bracket midpoints; the slices between start from those roots,
-interpolated, and take fewer steps.  Other driver penalties take one dense
-interpolation and one full eigendecomposition, O(N^3), per slice.
+no N x N matrix is formed.  Every root step, weight and eigenvector starts
+from a matrix of gaps from the levels to the roots, whose level
+differences come from one exact matrix product with k = 2 and whose
+offsets are subtracted in a separate pass (see spectral).  With
+spectral.WARM_MIN_STEPS slices or more, only every spectral.ANCHOR-th
+slice and the last start their roots at the bracket midpoints; the slices
+between start from those roots, interpolated, and take fewer steps.
+Other driver penalties take one dense interpolation and one full
+eigendecomposition, O(N^3), per slice.
 """
 
 from __future__ import annotations

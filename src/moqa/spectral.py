@@ -17,10 +17,17 @@ on these three in the level basis.  In a schedule of at least
 WARM_MIN_STEPS slices it solves every ANCHOR-th slice, and the last, from
 the bracket midpoints, and starts every other slice's roots from those of
 the anchors around it.  Other drivers take the dense path.
+
+Root steps, weights and eigenvectors all start from the gaps
+(levels_j - levels[pole]) - offset.  _level_gaps takes the level
+differences from one k = 2 matrix product, exact in any BLAS summation
+order, and subtracts the offsets in a pass of their own: as a third term
+of the product they would be rounded in an order the BLAS kernel picks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,13 +190,12 @@ def rank_one_eigh(
     # levels[0]: every factor but root 0's lies in (0, 1), so no partial
     # product leaves float range.  The product runs in root order in every
     # blocking, so the blocks do not change it.
-    zhat2 = (levels - levels[pole[0], None]) - offset[0, :, None]
+    zhat2 = _level_gaps(levels, pole[0], offset[0])
     zhat2 /= (levels - levels[0]) + couplings[:, None]
     step = max(1, RANK_ONE_BLOCK // max(1, count * size))
     for start in range(1, size, step):
         k = np.arange(start, min(start + step, size))
-        ratio = levels - levels[pole[k], None]
-        ratio -= offset[k, :, None]
+        ratio = _level_gaps(levels, pole[k].ravel(), offset[k].ravel()).reshape(k.size, count, size)
         far = np.maximum(np.abs(levels - levels[k - 1, None]), np.abs(levels - levels[k, None]))
         ratio *= np.reciprocal(far)[:, None]
         ratio[0] *= zhat2
@@ -205,16 +211,36 @@ def rank_one_eigh(
 
 
 def rank_one_vectors(levels, zhat, pole, offset) -> np.ndarray:
-    """Unit eigenvectors, as rows, of the roots levels[pole] + offset of one
-    rank_one_eigh problem with weights zhat: zhat_j / (levels_j - root)."""
-    vec = levels - levels[pole, None]
-    vec -= offset[:, None]
-    np.divide(zhat, vec, out=vec)
+    """Unit eigenvectors, as rows, of the roots levels[pole] + offset of
+    rank_one_eigh problems with weights zhat: zhat_j / (levels_j - root).
+
+    The last axis of pole and offset runs over a problem's roots, that of
+    zhat over its weights, and any leading axes over problems."""
+    vec = _level_gaps(levels, pole.ravel(), offset.ravel()).reshape(*pole.shape, levels.size)
+    np.divide(zhat[..., None, :], vec, out=vec)
     # The nearest level is the root's pole, so this scaling keeps every
     # entry at most max(zhat) and the squares in range.
-    vec *= np.abs(offset[:, None])
-    vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
+    vec *= np.abs(offset[..., None])
+    vec /= np.sqrt(np.einsum("...j,...j->...", vec, vec))[..., None]
     return vec
+
+
+def _level_gaps(levels, pole, offset, out=None) -> np.ndarray:
+    """(levels_j - levels[pole_r]) - offset_r, one row r per root.
+
+    A level difference less the offset keeps close levels accurate.  The
+    differences are the k = 2 product [levels[pole_r], 1] @ [-1; levels]:
+    both products in an entry are exact, so it is rounded once, as by the
+    subtraction, in any summation order, with or without FMA.  The offset
+    takes a pass of its own; as a third term it would be rounded in an
+    order that the BLAS kernel picks.
+    """
+    lhs, rhs = np.empty((pole.size, 2)), np.empty((2, levels.size))
+    lhs[:, 0], lhs[:, 1] = levels[pole], 1.0
+    rhs[0], rhs[1] = -1.0, levels
+    gaps = np.matmul(lhs, rhs, out=out)
+    gaps -= offset[:, None]
+    return gaps
 
 
 def rank_one_evolve(scale, diagonal, dt, steps, drift):
@@ -226,8 +252,10 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     indicator basis, H(s) = c * I + s * (diag(e) - (c / s) |w><w|) with
     c = (1 - s) * scale, distinct values e_j of multiplicity m_j and
     w_j = sqrt(m_j / N).  rank_one_eigh gives the roots and vector weights
-    of RANK_ONE_BLOCK / K slices at a time, and each slice applies its
-    eigenvectors in blocks of as many rows.
+    of RANK_ONE_BLOCK / K slices at a time.  rank_one_vectors forms the
+    eigenvectors of RANK_ONE_BLOCK / K**2 slices in one call, or, with more
+    levels, those of one slice in blocks of RANK_ONE_BLOCK / K rows, and
+    each slice applies its own in turn.
 
     A schedule of at least WARM_MIN_STEPS slices starts most roots warm.
     Its anchors, every ANCHOR-th slice and the last, are solved once each
@@ -259,18 +287,29 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     coupling = (1.0 - s_mid) * scale
     couplings = coupling / s_mid
     block = max(1, RANK_ONE_BLOCK // levels.size)
-    for k, (pole, offset, zhat) in enumerate(_slice_roots(levels, weights, couplings, block)):
-        phases = np.exp(-1j * dt * (coupling[k] + s_mid[k] * (levels[pole] + offset)))
-        # The real eigenvectors act on the real and imaginary parts as
-        # the two columns of one matrix product.
-        state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
-        for rows in range(0, levels.size, block):
-            b = slice(rows, rows + block)
-            vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
-            amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
-            new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
-        psi = new.view(np.complex128).ravel()
-        drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
+    # The eigenvectors of batch slices fill a block together; past half a
+    # block of levels, a slice forms its own a block of rows at a time.
+    batch = max(1, block // levels.size)
+    slices = _slice_roots(levels, weights, couplings, block)
+    for first in range(0, steps, batch):
+        pole, offset, zhat = (np.array(x) for x in zip(*itertools.islice(slices, batch)))
+        together = rank_one_vectors(levels, zhat, pole, offset) if batch > 1 else None
+        for i, k in enumerate(range(first, first + len(zhat))):
+            phases = np.exp(-1j * dt * (coupling[k] + s_mid[k] * (levels[pole[i]] + offset[i])))
+            # The real eigenvectors act on the real and imaginary parts as
+            # the two columns of one matrix product.
+            state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
+            for rows in range(0, levels.size, block):
+                b = slice(rows, rows + block)
+                vecs = together[i] if batch > 1 else rank_one_vectors(
+                    levels, zhat[i], pole[i, b], offset[i, b]
+                )
+                amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
+                new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
+            psi = new.view(np.complex128).ravel()
+            drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
+        # Freed before the next batch forms its vectors, not after.
+        del together, vecs
     psi = psi[inverse] / np.sqrt(counts[inverse])
     return psi, max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
 
@@ -394,15 +433,20 @@ def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.nda
     target = 1.0 / g
     # One buffer for every step's distances spares the allocator fresh pages.
     active, buf = np.arange(k.size), np.empty((k.size, levels.size))
+    # Row r of the buffer starts at flat index starts[r]; the pole right of
+    # its root's bracket sits at starts[r] + right, the left one just before.
+    starts = np.arange(k.size) * levels.size
     for it in range(RANK_ONE_MAX_STEPS):
         if active.size == 0:
             break
         at, lft, rgt = offset[active], left[active], right[active]
-        # A level difference less the offset keeps close levels accurate.
-        dist = np.subtract(levels, levels[pole[active], None], out=buf[: active.size])
-        dist -= at[:, None]
-        here = np.arange(active.size)
-        d_left, d_right = dist[here, lft], dist[here, rgt]
+        dist = _level_gaps(levels, pole[active], at, out=buf[: active.size])
+        # Each row's sums split before its right pole.
+        cuts = np.empty((active.size, 2), dtype=np.intp)
+        cuts[:, 0] = starts[: active.size]
+        np.add(cuts[:, 0], rgt, out=cuts[:, 1])
+        d_right = dist.ravel()[cuts[:, 1]]
+        d_left = dist.ravel()[cuts[:, 1] - 1]
         np.divide(z, dist, out=dist)
         # Per row, since BLAS matrix-vector products round by row position.
         f = np.matmul(dist[:, None, :], z)[:, 0] - target[active]
@@ -411,10 +455,7 @@ def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.nda
         unit = np.minimum(np.abs(d_left), np.abs(d_right))
         dist *= unit[:, None]
         np.square(dist, out=dist)
-        cuts = np.empty(2 * active.size, dtype=np.intp)
-        cuts[0::2] = here * levels.size
-        cuts[1::2] = cuts[0::2] + rgt
-        slopes = np.add.reduceat(dist.ravel(), cuts).reshape(-1, 2)
+        slopes = np.add.reduceat(dist.ravel(), cuts.ravel()).reshape(-1, 2)
         lo_a = np.where(f < 0, at, lo[active])
         hi_a = np.where(f > 0, at, hi[active])
         if it == 0 and start_at is None:
@@ -445,17 +486,14 @@ def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.nda
         gamma = a_near * spacing
         step = at + unit * _quadratic_roots(c, -a, b)[0]
         small, large = (-unit * y for y in _quadratic_roots(c, beta, gamma))
-        # The model's root in the bracket, else bisection.  A converged root
-        # sits on its own bracket, so the bracket's ends count as inside.
-        new = np.select(
-            [
-                (np.abs(step - at) < 0.5 * np.abs(at)) & (lo_a <= step) & (step <= hi_a),
-                (lo_a <= small) & (small <= hi_a),
-                (lo_a <= large) & (large <= hi_a),
-            ],
-            [step, small, large],
-            0.5 * (lo_a + hi_a),
-        )
+        # The short model step, else the model's root small or large that
+        # lies in the bracket, else bisection; each choice overrides those
+        # after it.  A converged root sits on its own bracket, so the
+        # bracket's ends count as inside.
+        new = np.where((lo_a <= large) & (large <= hi_a), large, 0.5 * (lo_a + hi_a))
+        new = np.where((lo_a <= small) & (small <= hi_a), small, new)
+        short = (np.abs(step - at) < 0.5 * np.abs(at)) & (lo_a <= step) & (step <= hi_a)
+        new = np.where(short, step, new)
         done = np.abs(new - at) <= RANK_ONE_STEP_TOL * np.abs(new)
         # A guessed root can move far from its pole.  Once it is three times
         # nearer the other pole, it is measured from that one, where its
