@@ -343,10 +343,15 @@ def _cmd_bench_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built on the first call; each parse_args fills a fresh namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except MoqaError as exc:
         return _fail(exc.exit_code, exc)

@@ -10,6 +10,7 @@ classification of the Pareto front.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul as _mul
 
 import numpy as np
 
@@ -25,6 +26,9 @@ WEIGHT_SUM_TOL = 1e-12
 #: Relative tolerance used when testing whether an objective vector lies on
 #: a hull edge during the supported-solution classification.
 HULL_COLLINEAR_TOL = 1e-12
+# A substituted cut whose coefficients all fall below this share of its
+# largest input coefficient is parallel to the hyperplane up to rounding.
+_PARALLEL_TOL = 2.0**-40
 # Sorted rows filtered per step of the d >= 3 front; the comparison
 # temporaries hold _FRONT_BLOCK x (front so far + block) x d booleans.
 _FRONT_BLOCK = 32
@@ -242,32 +246,78 @@ def equivalent(inst: McoInstance, x: int, y: int) -> bool:
     return bool(np.array_equal(inst.values[x], inst.values[y]))
 
 
-def _max_margin_weighting(d: int, ub_rows: np.ndarray) -> Linearization | None:
-    # Maximize t subject to sum w = 1, 0 <= w_i, w_i + t <= 1 and the
-    # caller's rows ub_rows @ w <= 0.  t > 0 certifies an admissible
-    # weighting (every entry strictly below 1) that meets them.
-    from scipy.optimize import linprog
-
-    # Variables w_1..w_d, t; the t column is zero in the caller's rows.
-    a_eq = np.r_[np.ones(d), 0.0][None, :]
-    a_ub = np.block([[np.eye(d), np.ones((d, 1))],
-                     [ub_rows, np.zeros((len(ub_rows), 1))]])
-    b_eq = np.ones(1)
-    b_ub = np.r_[np.ones(d), np.zeros(len(ub_rows))]
-    c = np.r_[np.zeros(d), -1.0]
-    bounds = [(0.0, 1.0)] * d + [(None, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if not res.success or res.x is None:
+def _max_margin_weighting(rows: np.ndarray) -> Linearization | None:
+    # Maximize t subject to sum w = 1, 0 <= w_i, w_i + t <= 1 and
+    # rows @ w <= 0.  t > 0 certifies an admissible weighting (every entry
+    # strictly below 1) that meets the rows.  With v = w / max_i w_i this is
+    # the LP: maximize sum v subject to 0 <= v <= 1 and rows @ v <= 0, whose
+    # optimum S gives t = 1 - 1/S; only v = 0 is feasible when no weighting
+    # meets the rows.  The rows are homogeneous, so each is scaled exactly by
+    # a power of two to a largest entry in [0.5, 1): the LP sees the same
+    # bits at every scale of the table.
+    a = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    d = a.shape[1]
+    # Seidel's incremental step, taking next the row the optimum v so far
+    # violates most.  v stays optimal for the rows taken, so once no row is
+    # violated it is optimal for all; a taken row that still reads violated
+    # only by rounding ends the loop.
+    v = np.ones(d)
+    taken: list[int] = []
+    cuts: list[tuple[list[float], float]] = []
+    while True:
+        excess = a @ v
+        j = int(excess.argmax())
+        if excess[j] <= 0.0 or j in taken:
+            break
+        g = a[j].tolist()
+        v = np.array(_on_plane(g, 0.0, cuts, [1.0] * d))
+        taken.append(j)
+        cuts.append((g, 0.0))
+    total = float(v.sum())
+    if total <= 0.0:
         return None
-    t = float(res.x[-1])
-    if t <= 1e-12:
+    w = np.clip(v / total, 0.0, None)
+    if 1.0 - float(w.max()) <= 1e-12:
         return None
-    w = np.clip(res.x[:d], 0.0, None)
     try:
         return Linearization(w / w.sum())
     except InvalidLinearizationError:
         return None
+
+
+def _seidel(cuts: list, c: list[float]) -> list[float]:
+    # Maximize c . u over the unit box and the cuts g . u <= h, one cut at a
+    # time (Seidel 1991): the optimum so far either meets the next cut or
+    # the new optimum lies on the cut's hyperplane.  Every LP solved here is
+    # feasible: v = 0 meets every row of the top one, and each hyperplane
+    # meets the region of the cuts before it.
+    u = [1.0 if cj > 0.0 else 0.0 for cj in c]
+    for i, (g, h) in enumerate(cuts):
+        if sum(map(_mul, g, u)) > h:
+            u = _on_plane(g, h, cuts[:i], c)
+    return u
+
+
+def _on_plane(g: list[float], h: float, cuts: list, c: list[float]) -> list[float]:
+    # Maximize c . u over g . u = h, the unit box and the cuts, by solving
+    # g . u = h for its largest coefficient's variable u_k and substituting.
+    if len(g) == 1:
+        return [h / g[0]]
+    k = max(range(len(g)), key=lambda j: abs(g[j]))
+    bounds = [([float(j == k) for j in range(len(g))], 1.0),
+              ([-float(j == k) for j in range(len(g))], 0.0)]
+    sub = []
+    for gc, hc in bounds + cuts:
+        r = gc[k] / g[k]
+        row = [x - r * y for j, (x, y) in enumerate(zip(gc, g)) if j != k]
+        # A cut parallel to the hyperplane holds on all of it, the region
+        # being feasible; its row is rounding noise, and is dropped.
+        if max(map(abs, row)) > _PARALLEL_TOL * max(map(abs, gc)):
+            sub.append((row, hc - r * h))
+    r = c[k] / g[k]
+    u = _seidel(sub, [x - r * y for j, (x, y) in enumerate(zip(c, g)) if j != k])
+    rest = h - sum(map(_mul, g[:k] + g[k + 1:], u))
+    return u[:k] + [rest / g[k]] + u[k:]
 
 
 @dataclass(frozen=True)
@@ -279,7 +329,8 @@ class SolutionClassification:
         trivial: Single-objective minimizers.
         supported: Pareto indices minimizing some admissible weighted sum.
         nonsupported: Pareto indices that are not supported.
-        method: "hull" (d = 2) or "lp" (d >= 3); both are exact.
+        method: "hull" (d = 2) or "lp" (d >= 3, one small LP per front
+            row, solved by Seidel's incremental method); both are exact.
     """
 
     pareto: tuple[int, ...]
@@ -298,8 +349,11 @@ def supported_solutions(inst: McoInstance) -> SolutionClassification:
     supported points are exactly those whose objective vectors lie on the
     lower-left convex hull chain of the front, including points interior to
     hull edges (method "hull").  With three or more objectives one linear
-    program per front point searches for such a weighting, which is then
-    checked against the whole table (method "lp").
+    program per front point, with one variable per objective, searches for
+    such a weighting, which is then checked against the whole table (method
+    "lp").  The programs run in this module, by Seidel's (1991) incremental
+    method, and their rows are scaled by powers of two, so the
+    classification does not change when the table is scaled by one.
 
     Returns:
         SolutionClassification with all four index sets sorted.
@@ -326,10 +380,10 @@ def _supported_by_lp(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, ..
     # by a front row, and weights are nonnegative.
     vals = inst.values
     front_vals = vals[list(front)]
-    tol = 1e-9 * max(1.0, float(vals.max()))
+    tol = 1e-9 * float(vals.max())
     supported = []
     for x in front:
-        w = _max_margin_weighting(inst.d, vals[x] - front_vals)
+        w = _max_margin_weighting(vals[x] - front_vals)
         if w is None:
             continue
         sums = scalarize(inst, w)

@@ -727,7 +727,9 @@ def test_evolve_negative_seed_rejected_before_the_schedule(
 def test_bool_initial_scale_is_refused_with_exit_1(tmp_path, monkeypatch, capsys, command):
     # --initial-scale parses as a float, so a bool can only arrive as the
     # default; InitialHamiltonian refuses it instead of running at scale 1.0.
+    # main keeps one parser per process, so this test builds its own.
     monkeypatch.setattr(cli, "DEFAULT_INITIAL_SCALE", True)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     out, curve = tmp_path / "out.json", tmp_path / "curve.csv"
     extra = {"gap-scan": ["--points", "8", "--curve", str(curve)], "evolve": ["--T", "5"]}
     code = main([command, "--builtin", "--w", "0.5", *extra[command], "--output", str(out)])
@@ -930,8 +932,8 @@ def test_module_entry_point_smoke():
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
-    # scipy.optimize is imported only when a linear program is solved, and
-    # scipy.linalg only when a dense eigensolve runs.
+    # No code path imports scipy.optimize, and scipy.linalg is imported only
+    # when a dense eigensolve runs: smallest_two or a non-default penalty.
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, moqa.cli; print({module!r} in sys.modules)"],
@@ -952,6 +954,33 @@ def test_front_leaves_numpy_ma_unloaded():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["method"] == "hull"
     assert proc.stderr == "False\n"
+
+
+def test_d3_front_leaves_scipy_unloaded(d3_ties_csv):
+    # The d >= 3 support LPs run in the package's own code.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, moqa.cli; moqa.cli.main(['front', sys.argv[1]]); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+         "file=sys.stderr)", d3_ties_csv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["method"] == "lp"
+    assert proc.stderr == "[]\n"
+
+
+def test_repeated_main_calls_carry_no_state(tmp_path, tie_csv):
+    # main builds its parser once per process; --w appends, and neither its
+    # list nor the chosen subcommand may reach the next call.
+    out = tmp_path / "pair.json"
+    assert main(["resolve", tie_csv, "--w", "0.5", "--w", "0.25", "--output", str(out)]) == EXIT_OK
+    code, payload = run_json(tmp_path, "resolve", tie_csv, "--w", "0.25")
+    assert code == EXIT_OK
+    assert payload == json.loads((tmp_path / "pair.w1.json").read_text())
+    code, payload = run_json(tmp_path, "front", tie_csv)
+    assert code == EXIT_OK
+    assert payload["method"] == "hull" and "certificate" not in payload
 
 
 def test_version_flag_in_process():

@@ -7,6 +7,7 @@ vectorized code paths.
 
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,46 @@ def oracle_supported(values, front, x, margin=1e-9):
         method="highs",
     )
     return res.status == 0 and -res.fun > margin
+
+
+def _exact_max_sum(rows) -> Fraction:
+    """Maximum of sum(v) over 0 <= v <= 1 and rows @ v <= 0, in Fractions.
+
+    Primal simplex on the tableau with one slack per row, started at
+    v = 0, with Bland's rule for both the entering column and the leaving
+    row, so degenerate pivots cannot cycle.
+    """
+    d, m = len(rows[0]), len(rows) + len(rows[0])
+    lhs = [list(r) for r in rows] + [[Fraction(i == j) for j in range(d)] for i in range(d)]
+    rhs = [Fraction(0)] * len(rows) + [Fraction(1)] * d
+    tab = [lhs[i] + [Fraction(i == j) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = list(range(d, d + m))
+    cost = [Fraction(-1)] * d + [Fraction(0)] * (m + 1)
+    while True:
+        enter = next((j for j in range(d + m) if cost[j] < 0), None)
+        if enter is None:
+            return cost[-1]
+        _, _, i = min((tab[k][-1] / tab[k][enter], basis[k], k)
+                      for k in range(m) if tab[k][enter] > 0)
+        tab[i] = [a / tab[i][enter] for a in tab[i]]
+        for k in range(m):
+            if k != i and tab[k][enter]:
+                tab[k] = [a - tab[k][enter] * b for a, b in zip(tab[k], tab[i])]
+        cost = [a - cost[enter] * b for a, b in zip(cost, tab[i])]
+        basis[i] = enter
+
+
+def oracle_supported_exact(values, front, x) -> bool:
+    """oracle_supported's LP solved exactly, at supported_solutions' margin.
+
+    With v = w / max(w), maximizing t is maximizing sum(v) subject to
+    0 <= v <= 1 and <f(x)-f(y), v> <= 0, and the optimum S gives
+    t = 1 - 1/S; only v = 0 is feasible when no weighting makes x minimal.
+    """
+    rows = [[Fraction(a) - Fraction(b) for a, b in zip(values[x], values[y])]
+            for y in front]
+    best = _exact_max_sum(rows)
+    return best > 0 and 1 - 1 / best > Fraction(1, 10**12)
 
 
 def _scan_cross(o, a, b) -> float:
@@ -461,6 +502,101 @@ def test_supported_matches_lp_oracle_more_objectives(rng, d):
         expected = {x for x in front if oracle_supported(values, front, x)}
         assert set(sc.supported) == expected, sorted(front)
         assert set(sc.nonsupported) == set(front) - expected
+
+
+def _lp_fuzz_tables(rng, d, count):
+    """Seeded d-objective tables with 4 to 16 rows for the support LPs."""
+    for k in range(count):
+        size = 1 << int(rng.integers(2, 5))
+        kind = k % 5
+        if kind == 0:
+            values = rng.uniform(0.0, 10.0, size=(size, d))
+        elif kind == 1:
+            # small integers: exact weighted-sum ties and duplicated rows
+            values = rng.integers(0, 3, size=(size, d)).astype(float)
+        elif kind == 2:
+            # rows on the plane sum(f) = 2d, which every row ties under
+            # uniform weights, some lifted off it, and one duplicated
+            values = rng.integers(0, 3, size=(size, d)).astype(float)
+            values[:, -1] = 2 * d - values[:, :-1].sum(axis=1)
+            values[:, -1] += rng.random(size) < 0.3
+            values[0] = values[rng.integers(size)]
+        elif kind == 3:
+            values = np.stack([rng.permutation(size) for _ in range(d)], axis=1).astype(float)
+            values[rng.random(size) < 0.3] = values[rng.integers(size)]
+        else:
+            # columns four orders of magnitude apart
+            values = rng.uniform(0.0, 1.0, size=(size, d)) * 10.0 ** rng.integers(-4, 5, size=d)
+        yield values
+
+
+@pytest.mark.parametrize("d, count", [(3, 500), (4, 200)])
+def test_supported_lp_matches_oracle_on_fuzz_tables(d, count):
+    # linprog's HiGHS has absolute tolerances, so on tables whose columns
+    # lie orders of magnitude apart it can report a row supported that no
+    # weighting makes minimal; wherever it and supported_solutions
+    # disagree, the exact LP decides.
+    rng = np.random.default_rng(4000 + d)
+    for values in _lp_fuzz_tables(rng, d, count):
+        sc = supported_solutions(make_instance(values))
+        assert sc.method == "lp"
+        front = list(sc.pareto)
+        rows = values.tolist()
+        for x in front:
+            if (x in sc.supported) != oracle_supported(rows, front, x):
+                assert (x in sc.supported) == oracle_supported_exact(rows, front, x), values
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_supported_lp_is_scale_invariant(d):
+    # A power-of-two scale changes no bit of the normalized LP rows, nor
+    # the comparison of the whole-table check.
+    rng = np.random.default_rng(600 + d)
+    for k in range(40):
+        size = 1 << int(rng.integers(2, 7))
+        if k % 2:
+            table = rng.integers(0, 4, size=(size, d)).astype(float)
+        else:
+            table = rng.uniform(0.0, 10.0, size=(size, d))
+        base = supported_solutions(make_instance(table)).supported
+        for e in (-300, -100, -30, 50, 300):
+            scaled = supported_solutions(make_instance(np.ldexp(table, e)))
+            assert scaled.supported == base, (e, table)
+
+
+def test_supported_hand_case_wide_columns():
+    # Row 0 beats row 1 only on f4 and loses to row 2 only on f4.  With
+    # p = (f0 - f2)_4 and q = (f1 - f0)_4, both positive, the combination
+    # p (f0 - f1) + q (f0 - f2) is zero on f4 and positive on f1..f3, so a
+    # weighting under which row 0 ties or beats both rows puts all its
+    # weight on f4, where row 2 is smaller: row 0 is nonsupported.  The
+    # f2 column lies four orders below the others, and linprog's HiGHS,
+    # whose tolerances are absolute, calls row 0 supported.
+    values = [[4630.0, 0.000273, 6560.0, 4.47], [2540.0, 0.000236, 3440.0, 4.66],
+              [8820.0, 0.000426, 8600.0, 3.63], [5890.0, 0.000625, 8540.0, 4.56]]
+    sc = supported_solutions(make_instance(values))
+    assert sc.pareto == (0, 1, 2)
+    assert sc.supported == (1, 2)
+    f = [[Fraction(v) for v in row] for row in values]
+    a1 = [u - v for u, v in zip(f[0], f[1])]
+    a2 = [u - v for u, v in zip(f[0], f[2])]
+    p, q = a2[3], -a1[3]
+    assert p > 0 and q > 0
+    assert all(p * u + q * v > 0 for u, v in zip(a1[:3], a2[:3]))
+    assert [oracle_supported_exact(values, [0, 1, 2], x) for x in range(3)] == [False, True, True]
+
+
+def test_supported_hand_case_parallel_cut():
+    # Row 1 is minimal under w = (0, 1/2, 1/4, 1/4), with margin t = 1/2.
+    # On the way its LP substitutes a row that is parallel to the hyperplane
+    # it is solved on; what is left of that row is rounding noise, and
+    # solving on it instead of dropping it loses row 1.
+    values = [[2, 3, 3, 1], [3, 1, 2, 3], [1, 3, 3, 1], [1, 2, 0, 5],
+              [1, 3, 2, 2], [3, 2, 0, 3], [1, 0, 3, 4], [3, 2, 3, 0]]
+    sc = supported_solutions(make_instance(values))
+    assert sc.pareto == (1, 2, 3, 4, 5, 6, 7)
+    assert sc.supported == sc.pareto
+    assert all(oracle_supported_exact(values, list(sc.pareto), x) for x in sc.pareto)
 
 
 def test_supported_hand_case_zero_weight_three_objectives():
