@@ -422,8 +422,8 @@ def _supported_by_hull(inst: McoInstance, front: tuple[int, ...]) -> tuple[int, 
     k = np.searchsorted(hull[:, 0], vals[:, 0], side="right") - 1
     a = hull[k]
     b = hull[np.minimum(k + 1, len(hull) - 1)]
-    span = np.maximum(np.abs(b - a).max(axis=1), 1.0)
-    reach = np.maximum(np.abs(vals - a).max(axis=1), 1.0)
+    span = np.abs(b - a).max(axis=1)
+    reach = np.abs(vals - a).max(axis=1)
     on_chain = np.abs(_cross(a, b, vals)) <= HULL_COLLINEAR_TOL * span * reach
     return tuple(np.asarray(front)[on_chain].tolist())
 

@@ -13,10 +13,11 @@ levels and weights alone, by a rational iteration inside a kept bracket,
 without forming a matrix; the gap scan, delta_max and rank_one_eigh each
 call it once, and rank_one_vectors forms eigenvectors from its roots a
 block at a time.  rank_one_evolve runs evolve's default-driver schedule
-on these three in the level basis.  In a schedule of at least
-WARM_MIN_STEPS slices it solves every ANCHOR-th slice, and the last, from
-the bracket midpoints, and starts every other slice's roots from those of
-the anchors around it.  Other drivers take the dense path.
+on these three in the level basis.  It solves every stride-th slice, and
+the last, from the bracket midpoints, and starts every other slice's roots
+from those of the anchors around it.  The stride is ANCHOR in a schedule
+of at least WARM_MIN_STEPS slices and 1 in a shorter one.  Other drivers
+take the dense path.
 
 Root steps, weights and eigenvectors all start from the gaps
 (levels_j - levels[pole]) - offset.  _level_gaps takes the level
@@ -61,13 +62,15 @@ RANK_ONE_MAX_STEPS = 64
 #: The secular_roots kernel, rank_one_eigh's weight loop and evolve's slice
 #: product take rows in blocks of this many elements over K, bounding temporaries.
 RANK_ONE_BLOCK = 1 << 17
-#: rank_one_evolve solves every ANCHOR-th slice from the bracket midpoints
-#: and starts the slices between from those roots...
+#: The anchor stride: rank_one_evolve solves every ANCHOR-th slice, and the
+#: last, from the bracket midpoints and starts the slices between from
+#: those roots...
 ANCHOR = 8
 #: ...in schedules of at least this many slices, whose anchors lie at most
 #: a quarter of the schedule apart.  Farther apart, the starts cost more
 #: than they save: on a 2-core machine at one BLAS thread, 16 slices of the
 #: bundled table ran 7 % slower with them, and 32 slices 5 % faster.
+#: Shorter schedules take stride 1, so every slice is an anchor.
 WARM_MIN_STEPS = 32
 
 
@@ -252,19 +255,23 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     indicator basis, H(s) = c * I + s * (diag(e) - (c / s) |w><w|) with
     c = (1 - s) * scale, distinct values e_j of multiplicity m_j and
     w_j = sqrt(m_j / N).  rank_one_eigh gives the roots and vector weights
-    of RANK_ONE_BLOCK / K slices at a time.  rank_one_vectors forms the
+    of a part of the schedule at a time.  rank_one_vectors forms the
     eigenvectors of RANK_ONE_BLOCK / K**2 slices in one call, or, with more
     levels, those of one slice in blocks of RANK_ONE_BLOCK / K rows, and
     each slice applies its own in turn.
 
-    A schedule of at least WARM_MIN_STEPS slices starts most roots warm.
-    Its anchors, every ANCHOR-th slice and the last, are solved once each
-    from the bracket midpoints.  Every other slice starts each root from the roots
-    of the two anchors around it: interpolated linearly in the slice index
-    when both share a pole, else at the nearer anchor's.  An anchor depends
-    only on its coupling, so no root depends on RANK_ONE_BLOCK.  Shorter
-    schedules solve every slice from the midpoints, as their anchors lie
-    too far apart to give good starts.
+    The anchors, every stride-th slice and the last, are solved once each
+    from the bracket midpoints.  Every other slice starts each root from
+    the roots of the two anchors around it: interpolated linearly in the
+    slice index when both share a pole, else at the nearer anchor's.  The
+    stride is ANCHOR in a schedule of at least WARM_MIN_STEPS slices.  A
+    shorter schedule takes stride 1 and solves every slice from the
+    midpoints, as its anchors would lie too far apart to give good starts.
+    The parts hold RANK_ONE_BLOCK / K slices rounded up to a whole stride:
+    up to ANCHOR - 1 more, so ANCHOR at stride ANCHOR past RANK_ONE_BLOCK /
+    ANCHOR levels.  Each part solves its anchors and the next part's first
+    slice, which it carries there.  An anchor depends only on its coupling, so no
+    root depends on RANK_ONE_BLOCK.
 
     Levels closer than the smallest normal float are merged first:
     rank_one_eigh refuses them, as the reciprocals of their distances
@@ -316,39 +323,34 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
 
 def _slice_roots(levels, weights, couplings, block):
     """rank_one_eigh's (pole, offset, zhat) for each slice, in order, of the
-    schedule whose slice couplings are couplings, solved block slices at a
-    time with the warm starts that rank_one_evolve describes."""
+    schedule whose slice couplings are couplings, with the warm starts that
+    rank_one_evolve describes.  The slices go in parts of block rounded up
+    to a whole anchor stride, so a part holds up to stride - 1 slices more
+    than block."""
     steps = couplings.size
-    if steps < WARM_MIN_STEPS:
-        for start in range(0, steps, block):
-            yield from zip(*rank_one_eigh(levels, weights, couplings[start:start + block]))
-        return
-    done = solved = None
+    stride = ANCHOR if steps >= WARM_MIN_STEPS else 1
+    block = -(-block // stride) * stride
     for start in range(0, steps, block):
         part = np.arange(start, min(start + block, steps))
-        at_anchor = (part % ANCHOR == 0) | (part == steps - 1)
-        # The anchors from the one at or before part's first slice to the
-        # one at or after its last.  Those the previous block solved, one or
-        # two at its end, are taken from it.
-        last = min(-(-part[-1] // ANCHOR) * ANCHOR, steps - 1)
-        span = np.arange(part[0] - part[0] % ANCHOR, last + 1)
-        anchors = span[(span % ANCHOR == 0) | (span == steps - 1)]
+        at_anchor = (part % stride == 0) | (part == steps - 1)
+        # The part's anchors and the one after them: the next part's first
+        # slice, which this part solves and carries there, or the last slice.
+        end = min(start + block, steps - 1)
+        anchors = np.r_[np.arange(start, end, stride), end]
         warm = part[~at_anchor]
-        below = warm - warm % ANCHOR
-        above = np.minimum(below + ANCHOR, steps - 1)
+        below = (warm - start) // stride
+        above = below + 1
         # The starts take one slice per column, so rank_one_eigh's root-major
         # rows are their memory and the roots land in place.  Made before the
         # anchors' temporaries, they do not pin the top of the heap.
         pole = np.empty((levels.size, warm.size), np.intp)
         offset = np.empty((levels.size, warm.size))
-        again = anchors[:0] if done is None else anchors[anchors <= done[-1]]
-        cold = rank_one_eigh(levels, weights, couplings[anchors[again.size:]])
-        if again.size:
-            rows = np.searchsorted(done, again)
-            cold = tuple(np.concatenate((old[rows], new)) for old, new in zip(solved, cold))
-        done, solved = anchors[-2:], tuple(x[-2:].copy() for x in cold)
-        t = (warm - below) / (above - below)
-        below, above = np.searchsorted(anchors, below), np.searchsorted(anchors, above)
+        # Past the first part, the first anchor is the one carried in.
+        cold = rank_one_eigh(levels, weights, couplings[anchors[1 if start else 0:]])
+        if start:
+            cold = tuple(np.concatenate(pair) for pair in zip(carried, cold))
+        carried = tuple(x[-1:].copy() for x in cold)
+        t = (warm - anchors[below]) / (anchors[above] - anchors[below])
         poles, offsets = cold[0].T, cold[1].T
         near = np.where(t > 0.5, above, below)
         np.take(poles, near, axis=1, out=pole)
@@ -357,9 +359,11 @@ def _slice_roots(levels, weights, couplings, block):
         # A root whose anchors differ in pole starts at the nearer one's root.
         split = np.take(poles, below, axis=1) != np.take(poles, above, axis=1)
         np.copyto(offset, np.take(offsets, near, axis=1), where=split)
-        warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T)))
-        for k, is_anchor in zip(part, at_anchor):
-            yield tuple(x[np.searchsorted(anchors, k)] for x in cold) if is_anchor else next(warmed)
+        solved = zip(*cold)
+        if warm.size:
+            warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T)))
+        for is_anchor in at_anchor:
+            yield next(solved) if is_anchor else next(warmed)
 
 
 def secular_roots(levels, weights, k, g, guess=None) -> tuple[np.ndarray, np.ndarray]:

@@ -247,6 +247,14 @@ def test_hermitian_rejects_asymmetric():
         HermitianOperator(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_hermitian_check_is_relative(scale):
+    # A 0.1 % asymmetry is refused at any scale; the zero matrix is kept.
+    with pytest.raises(HermiticityError):
+        HermitianOperator(scale * np.array([[1.0, 1.0], [1.001, 1.0]]))
+    assert HermitianOperator(np.zeros((2, 2))).dim == 2
+
+
 def test_hermitian_rejects_complex_diagonal():
     with pytest.raises(HermiticityError):
         HermitianOperator(np.array([[1j, 0.0], [0.0, 1.0]]))

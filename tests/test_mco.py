@@ -126,8 +126,8 @@ def _scan_on_chain(v, chain) -> bool:
         lo1, hi1 = min(a[1], b[1]), max(a[1], b[1])
         if not (lo0 <= v[0] <= hi0 and lo1 <= v[1] <= hi1):
             continue
-        span = max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1.0)
-        reach = max(abs(v[0] - a[0]), abs(v[1] - a[1]), 1.0)
+        span = max(abs(b[0] - a[0]), abs(b[1] - a[1]))
+        reach = max(abs(v[0] - a[0]), abs(v[1] - a[1]))
         if abs(_scan_cross(a, b, v)) <= 1e-12 * span * reach:
             return True
     return False
@@ -456,8 +456,8 @@ def _unique_chain_supported(values, front):
     hull = np.array(chain)
     k = np.searchsorted(hull[:, 0], vals[:, 0], side="right") - 1
     a, b = hull[k], hull[np.minimum(k + 1, len(hull) - 1)]
-    span = np.maximum(np.abs(b - a).max(axis=1), 1.0)
-    reach = np.maximum(np.abs(vals - a).max(axis=1), 1.0)
+    span = np.abs(b - a).max(axis=1)
+    reach = np.abs(vals - a).max(axis=1)
     on_chain = np.abs(cross(a, b, vals)) <= 1e-12 * span * reach
     return tuple(np.asarray(front)[on_chain].tolist())
 
@@ -478,6 +478,19 @@ def test_supported_hull_matches_unique_chain(n):
             inst = make_instance(table)
             sc = supported_solutions(inst)
             assert sc.supported == _unique_chain_supported(inst.values, sc.pareto)
+
+
+def test_supported_hull_is_scale_invariant():
+    # A power-of-two scale multiplies each cross product and its bound
+    # span * reach by the same power of four, short of underflow, so the
+    # collinearity test keeps its answer when differences fall below 1.
+    rng = np.random.default_rng(700)
+    for _ in range(200):
+        table = rng.uniform(0.0, 10.0, size=(1 << int(rng.integers(2, 8)), 2))
+        base = supported_solutions(make_instance(table)).supported
+        for e in (-40, -20, 20, 40):
+            scaled = supported_solutions(make_instance(np.ldexp(table, e)))
+            assert scaled.supported == base, (e, table)
 
 
 def test_supported_hull_is_scale_invariant_at_huge_values():

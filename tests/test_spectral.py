@@ -535,6 +535,26 @@ def test_warm_starts_follow_the_anchor_rule(monkeypatch):
         assert offset.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("steps", [100, 20])
+def test_slice_roots_do_not_depend_on_the_part_size(steps):
+    # Anchors are solved from the midpoints and the slices between start
+    # from them, so no root depends on where the parts of the schedule end.
+    levels, counts = np.unique(
+        build_final(builtin_instance(), Linearization.pair(0.57)).diagonal, return_counts=True
+    )
+    s = (np.arange(steps) + 0.5) / steps
+    couplings = (1.0 - s) * 8.0 / s
+
+    def roots(block):
+        out = spectral._slice_roots(levels, counts / 128.0, couplings, block)
+        return [b"".join(part.tobytes() for part in row) for row in out]
+
+    whole = roots(steps)
+    assert len(whole) == steps
+    for block in (1, 6, 9):
+        assert roots(block) == whole, block
+
+
 def test_warm_starts_cut_root_steps_on_the_bundled_schedule(monkeypatch):
     # Each step of the iteration solves two model quadratics over the rows
     # still active, so their sizes count the secular-function evaluations,
@@ -779,11 +799,14 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
         assert np.max(np.abs(new_state - dense)) <= 1e-9
 
 
-# At K = 32 the chunks of 64 slices are 1, 6 and 8 slices long, so a
-# chunk ends on an anchor, or between two anchors that the next chunk
-# needs as well.
-@pytest.mark.parametrize("chunk", [1, 6, 8])
-def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, chunk):
+# At K = 32 a chunk of 64 slices rounds up to whole strides of 8: chunks
+# of 1, 6 and 8 slices make 8-slice parts, and chunk 9 makes 16-slice
+# parts.  20 slices have stride 1, so chunk 6 makes 6-slice parts.  Each
+# part's last anchor is the next part's first, solved once.
+@pytest.mark.parametrize("steps, chunk", [
+    pytest.param(64, chunk, id=str(chunk)) for chunk in (1, 6, 8, 9)
+] + [pytest.param(20, 6, id="20_slices-6")])
+def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, steps, chunk):
     run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
     kernel, rows = spectral.rank_one_eigh, []
 
@@ -791,11 +814,11 @@ def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, chunk):
         rows.append(len(couplings))
         return kernel(levels, weights, couplings, guess)
 
-    state = evolve(*run, 20.0, steps=64).final_state
+    state = evolve(*run, 20.0, steps=steps).final_state
     monkeypatch.setattr(spectral, "rank_one_eigh", counted)
     monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", chunk * 32)
-    chunked = evolve(*run, 20.0, steps=64).final_state
-    assert sum(rows) == 64
+    chunked = evolve(*run, 20.0, steps=steps).final_state
+    assert sum(rows) == steps
     assert np.max(np.abs(chunked - state)) <= 1e-14
 
 
