@@ -29,9 +29,11 @@ HULL_COLLINEAR_TOL = 1e-12
 # A substituted cut whose coefficients all fall below this share of its
 # largest input coefficient is parallel to the hyperplane up to rounding.
 _PARALLEL_TOL = 2.0**-40
-# Sorted rows filtered per step of the d >= 3 front; the comparison
-# temporaries hold _FRONT_BLOCK x (front so far + block) x d booleans.
+# The d >= 3 front takes _FRONT_BLOCK sorted live rows as each head and
+# compares its front rows with the later live rows _FRONT_SLICE at a time:
+# each comparison temporary holds at most _FRONT_BLOCK x _FRONT_SLICE bools.
 _FRONT_BLOCK = 32
+_FRONT_SLICE = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +171,13 @@ def pareto_front(inst: McoInstance) -> tuple[int, ...]:
     broken lexicographically on (f1, ..., fd).  Floating-point addition
     rounds monotonically, so a dominating row never has a larger sum, and
     on an equal sum it is lexicographically smaller: every dominator sorts
-    strictly first.  Blocks of the sorted rows are then filtered against
-    the front found so far plus the block itself, O(N log N + N F d) for a
-    front of F rows.
+    strictly first.  The sorted rows, held as d columns, are then filtered
+    by presorted bulk elimination (Chomicki, Godfrey, Gryz & Liang 2003):
+    the undominated rows of the next head of live rows are front rows, and
+    every later live row that one of them dominates leaves in one pass.
+    Each row is compared only until the first front row that dominates it,
+    so the cost is O(N log N + N F d) for a front of F rows at worst, when
+    most rows are on the front.
 
     Returns:
         Sorted tuple of domain indices.
@@ -189,25 +195,32 @@ def pareto_front(inst: McoInstance) -> tuple[int, ...]:
         return tuple(np.sort(order[keep]).tolist())
 
     with np.errstate(over="ignore"):  # an overflowed sum still orders correctly
-        sums = vals.sum(axis=1)
-    order = np.lexsort((*vals.T[::-1], sums))
-    rows = vals[order]
-    front = np.empty_like(rows)
-    keep = np.zeros(inst.size, dtype=bool)
-    m = 0
-    for lo in range(0, inst.size, _FRONT_BLOCK):
-        block = rows[lo:lo + _FRONT_BLOCK]
-        # A dominated row is dominated by some front row, so the candidates
-        # are the front found so far plus the block's own rows.
-        front[m:m + len(block)] = block
-        cand = front[None, :m + len(block)]
-        dominated = ((cand <= block[:, None]).all(axis=2)
-                     & (cand < block[:, None]).any(axis=2)).any(axis=1)
-        keep[lo:lo + len(block)] = ~dominated
-        survivors = block[~dominated]
-        front[m:m + len(survivors)] = survivors
-        m += len(survivors)
-    return tuple(np.sort(order[keep]).tolist())
+        pos = np.lexsort((*vals.T[::-1], vals.sum(axis=1)))
+    cols = vals.T.take(pos, axis=1)
+    front = []
+    while pos.size:
+        # A row that an earlier front row dominates has left, and dominance
+        # is transitive, so the head's undominated rows are front rows.
+        head = cols[:, :_FRONT_BLOCK]
+        top = ~_dominated(head, head)
+        front.append(pos[:_FRONT_BLOCK][top])
+        live = ~_dominated(head[:, top], cols[:, _FRONT_BLOCK:])
+        pos, cols = pos[_FRONT_BLOCK:][live], cols[:, _FRONT_BLOCK:][:, live]
+    return tuple(np.sort(np.concatenate(front)).tolist())
+
+
+def _dominated(by, cols):
+    """Mask of the columns of cols that some column of by dominates; both
+    hold one objective per row."""
+    out = np.empty(cols.shape[1], dtype=bool)
+    for lo in range(0, out.size, _FRONT_SLICE):
+        part = cols[:, lo:lo + _FRONT_SLICE]
+        le, eq = by[0, :, None] <= part[0], by[0, :, None] == part[0]
+        for b, c in zip(by[1:, :, None], part[1:]):
+            le &= b <= c
+            eq &= b == c
+        out[lo:lo + _FRONT_SLICE] = (le & ~eq).any(axis=0)
+    return out
 
 
 def trivial_solutions(inst: McoInstance) -> tuple[int, ...]:

@@ -345,10 +345,15 @@ def _slice_roots(levels, weights, couplings, block):
         # anchors' temporaries, they do not pin the top of the heap.
         pole = np.empty((levels.size, warm.size), np.intp)
         offset = np.empty((levels.size, warm.size))
-        # Past the first part, the first anchor is the one carried in.
-        cold = rank_one_eigh(levels, weights, couplings[anchors[1 if start else 0:]])
-        if start:
-            cold = tuple(np.concatenate(pair) for pair in zip(carried, cold))
+        # Past the first part, the first anchor is the one carried in; the
+        # last part may hold no other.
+        own = anchors[1 if start else 0:]
+        if own.size:
+            cold = rank_one_eigh(levels, weights, couplings[own])
+            if start:
+                cold = tuple(np.concatenate(pair) for pair in zip(carried, cold))
+        else:
+            cold = carried
         carried = tuple(x[-1:].copy() for x in cold)
         t = (warm - anchors[below]) / (anchors[above] - anchors[below])
         poles, offsets = cold[0].T, cold[1].T

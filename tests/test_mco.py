@@ -274,6 +274,39 @@ def test_front_matches_bruteforce_on_tie_heavy_tables(n):
                 assert pareto_front(inst) == expected, values
 
 
+def _plane_table(rng, n, d):
+    """2^n integer rows with one sum: every row is on the front."""
+    low = rng.integers(0, 1000, size=(1 << n, d - 1))
+    return np.c_[low, 1000 * (d - 1) - low.sum(axis=1)].astype(float)
+
+
+def _boundary_table(rng, n, d):
+    """2^n rows: 40 of one sum, among them equal rows at sorted positions 31
+    and 32, either side of the first head's end, and the rest dominated by
+    all 40.  Also returns the indices of the two equal rows."""
+    values = _plane_table(rng, n, d)
+    order = np.lexsort(values[:40].T[::-1])
+    values[order[32]] = values[order[31]]
+    values[40:] = rng.integers(1000 * (d - 1), 2000 * d, size=(values.shape[0] - 40, d))
+    shuffle = rng.permutation(values.shape[0])
+    return values[shuffle], np.argsort(shuffle)[order[31:33]]
+
+
+# The d >= 3 front takes the sorted rows a head of _FRONT_BLOCK = 32 at a
+# time, so these tables span many heads.
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("n", range(6, 11))
+def test_front_matches_bruteforce_beyond_one_head(n, d):
+    rng = np.random.default_rng(3000 + 10 * n + d)
+    boundary, copies = _boundary_table(rng, n, d)
+    for values in [*_tie_tables(rng, n, d), _plane_table(rng, n, d), boundary]:
+        inst = make_instance(values)
+        expected = tuple(sorted(oracle_front(inst.values.tolist())))
+        assert pareto_front(inst) == expected, values
+    # Equal rows do not exclude each other, across a head boundary too.
+    assert set(copies.tolist()) <= set(pareto_front(make_instance(boundary)))
+
+
 def test_front_float_sum_tie():
     # Rows 0, 1 and 2 all sum to exactly 1e20 in floating point and row 1
     # dominates row 0: filtering only against strictly smaller sums, or

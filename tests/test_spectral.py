@@ -802,10 +802,13 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
 # At K = 32 a chunk of 64 slices rounds up to whole strides of 8: chunks
 # of 1, 6 and 8 slices make 8-slice parts, and chunk 9 makes 16-slice
 # parts.  20 slices have stride 1, so chunk 6 makes 6-slice parts.  Each
-# part's last anchor is the next part's first, solved once.
+# part's last anchor is the next part's first, solved once.  33 slices at
+# chunk 8, and 20 at chunk 1, leave a last part that holds only the anchor
+# carried into it, which needs no solve.
 @pytest.mark.parametrize("steps, chunk", [
     pytest.param(64, chunk, id=str(chunk)) for chunk in (1, 6, 8, 9)
-] + [pytest.param(20, 6, id="20_slices-6")])
+] + [pytest.param(20, 6, id="20_slices-6"), pytest.param(20, 1, id="20_slices-1"),
+     pytest.param(33, 8, id="33_slices-8")])
 def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, steps, chunk):
     run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
     kernel, rows = spectral.rank_one_eigh, []
@@ -819,6 +822,7 @@ def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, steps, chunk):
     monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", chunk * 32)
     chunked = evolve(*run, 20.0, steps=steps).final_state
     assert sum(rows) == steps
+    assert 0 not in rows
     assert np.max(np.abs(chunked - state)) <= 1e-14
 
 
