@@ -10,16 +10,19 @@ stays at machine-precision level and is tracked, not corrected.
 With the default driver, spectral.rank_one_evolve runs the schedule
 exactly in the K-dimensional basis of the level sets of the problem
 diagonal, K <= N being the number of its distinct values: a slice costs
-O(K^2), a few O(K) root steps per eigenvalue plus two products with
-eigenvectors formed a block of rows at a time, so memory grows with K and
-no N x N matrix is formed.  Every root step, weight and eigenvector starts
-from a matrix of gaps from the levels to the roots, whose level
-differences come from one exact matrix product with k = 2 and whose
-offsets are subtracted in a separate pass (see spectral).  Only every
-stride-th slice and the last start their roots at the bracket midpoints;
-the slices between start from those roots, interpolated, and take fewer
-steps.  The stride is spectral.ANCHOR with spectral.WARM_MIN_STEPS slices
-or more, and 1 with fewer.
+O(K^2), a few root steps per eigenvalue and O(K) per weight, plus two
+products with eigenvectors formed a block of rows at a time, so memory
+grows with K and no N x N matrix is formed.  Every root step, weight and
+eigenvector starts from gaps from the levels to the roots, each level
+difference rounded once and each offset subtracted in a separate pass
+(see spectral).  Only every stride-th slice and the last start their
+roots at the bracket midpoints; the slices between start from those
+roots, interpolated, and take fewer steps.  The stride is spectral.ANCHOR
+with spectral.WARM_MIN_STEPS slices or more, and 1 with fewer.  A
+schedule with anchors builds one spectral.far_pole_fit, in
+O(FIT_DEGREE * K^2), and a root step of every root but the lowest then
+costs O(window + FIT_DEGREE); without anchors, each step sums all K
+levels.
 Other driver penalties take one dense interpolation and one full
 eigendecomposition, O(N^3), per slice.
 """

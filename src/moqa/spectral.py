@@ -19,11 +19,22 @@ from those of the anchors around it.  The stride is ANCHOR in a schedule
 of at least WARM_MIN_STEPS slices and 1 in a shorter one.  Other drivers
 take the dense path.
 
+The levels and weights stay the same for every coupling, so a
+far_pole_fit, built once per problem, serves every step of every root
+k > 0: the poles within FIT_REACH bracket widths of the bracket are
+summed, and Chebyshev series of degree FIT_DEGREE stand in for the rest,
+so a step costs O(window + FIT_DEGREE) instead of O(K).  rank_one_evolve
+builds one for a schedule with anchors.  The gap scan and delta_max find
+one or two roots per coupling, too few to pay for a fit, and root 0,
+whose bracket grows without bound with the coupling, always sums all K
+poles.
+
 Root steps, weights and eigenvectors all start from the gaps
-(levels_j - levels[pole]) - offset.  _level_gaps takes the level
-differences from one k = 2 matrix product, exact in any BLAS summation
-order, and subtracts the offsets in a pass of their own: as a third term
-of the product they would be rounded in an order the BLAS kernel picks.
+(levels_j - levels[pole]) - offset, each level difference rounded once
+and the offset subtracted in a pass of its own.  _level_gaps takes the
+level differences from one k = 2 matrix product, exact in any BLAS
+summation order: as a third term of the product the offsets would be
+rounded in an order the BLAS kernel picks.
 """
 
 from __future__ import annotations
@@ -62,15 +73,29 @@ RANK_ONE_MAX_STEPS = 64
 #: The secular_roots kernel, rank_one_eigh's weight loop and evolve's slice
 #: product take rows in blocks of this many elements over K, bounding temporaries.
 RANK_ONE_BLOCK = 1 << 17
+#: A far-pole fit sums the poles within this many bracket widths of a
+#: bracket exactly and interpolates the others...
+FIT_REACH = 2.0
+#: ...by Chebyshev series of this degree, one each for their sum and for
+#: their slopes left and right of the bracket.
+FIT_DEGREE = 15
+# The series' nodes as fractions of the bracket, and the cosine matrix that
+# takes the values there to the series' coefficients.
+_FIT_ANGLES = (np.arange(FIT_DEGREE + 1) + 0.5) * (np.pi / (FIT_DEGREE + 1))
+_FIT_SPOTS = 0.5 * (1.0 + np.cos(_FIT_ANGLES))
+_FIT_COSINES = np.cos(np.outer(np.arange(FIT_DEGREE + 1), _FIT_ANGLES)) * (2.0 / (FIT_DEGREE + 1))
+_FIT_COSINES[0] *= 0.5
 #: The anchor stride: rank_one_evolve solves every ANCHOR-th slice, and the
 #: last, from the bracket midpoints and starts the slices between from
 #: those roots...
 ANCHOR = 8
 #: ...in schedules of at least this many slices, whose anchors lie at most
-#: a quarter of the schedule apart.  Farther apart, the starts cost more
-#: than they save: on a 2-core machine at one BLAS thread, 16 slices of the
-#: bundled table ran 7 % slower with them, and 32 slices 5 % faster.
-#: Shorter schedules take stride 1, so every slice is an anchor.
+#: a quarter of the schedule apart; those schedules also build a
+#: far_pole_fit.  Shorter schedules take stride 1, so every slice is an
+#: anchor, and no fit.  On a 2-core machine at one BLAS thread, anchors and
+#: fit together made the bundled table's 16 slices 26 % slower, 32 slices
+#: 4 % slower and 64 slices 18 % faster; on a 1024-level table they made 4
+#: slices 46 % slower and 8 slices 9 % faster.
 WARM_MIN_STEPS = 32
 
 
@@ -144,7 +169,7 @@ def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def rank_one_eigh(
-    levels, weights, couplings, guess=None
+    levels, weights, couplings, guess=None, fit=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of diag(levels) - g * |z><z| and their vector weights.
 
@@ -152,7 +177,8 @@ def rank_one_eigh(
     secular_roots, started from guess when one is given.  The weights zhat
     make the computed roots exact (Gu & Eisenstat 1995), and
     rank_one_vectors forms the eigenvectors from them.  A problem costs
-    O(K^2): a few O(K) steps per root, and O(K) per weight.
+    O(K^2): a few steps per root, each O(K) or, with fit, O(window +
+    FIT_DEGREE), and O(K) per weight.
 
     Args:
         levels: Strictly increasing diagonal, shape (K,).
@@ -162,6 +188,7 @@ def rank_one_eigh(
             format of the result.  When both are transposes of C-contiguous
             (K, S) arrays, as rank_one_evolve lays them out, the roots are
             written into them and returned as they are; otherwise into copies.
+        fit: Optional far_pole_fit of levels and weights for roots 1 .. K - 1.
 
     Returns:
         (pole, offset, zhat), each of shape (S, K): root k of problem s is
@@ -184,7 +211,7 @@ def rank_one_eigh(
     if guess is not None:
         guess = tuple(np.ravel(part.T) for part in guess)
     roots = secular_roots(
-        levels, weights, np.arange(size).repeat(count), np.tile(couplings, size), guess
+        levels, weights, np.arange(size).repeat(count), np.tile(couplings, size), guess, fit
     )
     pole, offset = (root.reshape(size, count) for root in roots)
     # The weights are recomputed as a product over roots of
@@ -264,9 +291,11 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     from the bracket midpoints.  Every other slice starts each root from
     the roots of the two anchors around it: interpolated linearly in the
     slice index when both share a pole, else at the nearer anchor's.  The
-    stride is ANCHOR in a schedule of at least WARM_MIN_STEPS slices.  A
-    shorter schedule takes stride 1 and solves every slice from the
-    midpoints, as its anchors would lie too far apart to give good starts.
+    stride is ANCHOR in a schedule of at least WARM_MIN_STEPS slices, and
+    every root step of such a schedule uses one far_pole_fit.  A shorter
+    schedule takes stride 1, solves every slice from the midpoints, as its
+    anchors would lie too far apart to give good starts, and sums all K
+    poles at every step, as a fit would cost more than it saves.
     The parts hold RANK_ONE_BLOCK / K slices rounded up to a whole stride:
     up to ANCHOR - 1 more, so ANCHOR at stride ANCHOR past RANK_ONE_BLOCK /
     ANCHOR levels.  Each part solves its anchors and the next part's first
@@ -330,6 +359,7 @@ def _slice_roots(levels, weights, couplings, block):
     steps = couplings.size
     stride = ANCHOR if steps >= WARM_MIN_STEPS else 1
     block = -(-block // stride) * stride
+    fit = far_pole_fit(levels, weights, np.arange(1, levels.size)) if stride > 1 else None
     for start in range(0, steps, block):
         part = np.arange(start, min(start + block, steps))
         at_anchor = (part % stride == 0) | (part == steps - 1)
@@ -349,7 +379,7 @@ def _slice_roots(levels, weights, couplings, block):
         # last part may hold no other.
         own = anchors[1 if start else 0:]
         if own.size:
-            cold = rank_one_eigh(levels, weights, couplings[own])
+            cold = rank_one_eigh(levels, weights, couplings[own], None, fit)
             if start:
                 cold = tuple(np.concatenate(pair) for pair in zip(carried, cold))
         else:
@@ -366,12 +396,14 @@ def _slice_roots(levels, weights, couplings, block):
         np.copyto(offset, np.take(offsets, near, axis=1), where=split)
         solved = zip(*cold)
         if warm.size:
-            warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T)))
+            warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T), fit))
         for is_anchor in at_anchor:
             yield next(solved) if is_anchor else next(warmed)
 
 
-def secular_roots(levels, weights, k, g, guess=None) -> tuple[np.ndarray, np.ndarray]:
+def secular_roots(
+    levels, weights, k, g, guess=None, fit=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Root k of sum_j weights_j / (levels_j - x) = 1 / g, one per row.
 
     These are the eigenvalues of diag(levels) - g * |z><z| with
@@ -387,17 +419,24 @@ def secular_roots(levels, weights, k, g, guess=None) -> tuple[np.ndarray, np.nda
     guessed root skips that pick: it starts at the guessed offset, clipped
     into the bracket, from the guessed pole (the left one unless the guess
     names the right), and is measured from the other pole once an iterate
-    lies three times nearer to it.  A good guess saves steps.  Every step
-    of a root costs O(K) and forms its rows' level differences afresh, so
-    no table of them is kept.
+    lies three times nearer to it.  A good guess saves steps.
+
+    Without a fit, every step of a root sums all K poles.  With the
+    far_pole_fit of its bracket, a step of a root k > 0 sums the poles of
+    the bracket's window and evaluates one Chebyshev series for the rest,
+    at O(window + FIT_DEGREE); root 0, whose bracket grows without bound
+    with g, always takes the O(K) sum.
 
     Args:
         levels: Strictly increasing diagonal, shape (K,), K >= 2.
         weights: Positive weights, shape (K,).
         k, g: Root index and coupling per row, any number of rows; they go
-            in blocks of RANK_ONE_BLOCK / K, so the temporaries stay bounded.
+            in blocks of RANK_ONE_BLOCK elements, so the temporaries stay
+            bounded.
         guess: Optional (pole, offset) start per row, in the format of the
             result.  The roots are written into these two arrays.
+        fit: Optional far_pole_fit of levels and weights that covers every
+            root index k > 0 among the rows.
 
     Returns:
         (pole, offset) per row; the root is levels[pole] + offset.
@@ -408,19 +447,237 @@ def secular_roots(levels, weights, k, g, guess=None) -> tuple[np.ndarray, np.nda
     """
     pole, offset = (np.empty(k.size, dtype=np.intp), np.empty(k.size)) if guess is None else guess
     z, total = np.sqrt(weights), weights.sum()
-    step = max(1, RANK_ONE_BLOCK // levels.size)
-    for start in range(0, k.size, step):
-        rows = slice(start, start + step)
+
+    def solve(rows, near):
         start_at = None if guess is None else (pole[rows], offset[rows])
-        pole[rows], offset[rows] = _secular_block(levels, z, total, k[rows], g[rows], start_at)
+        pole[rows], offset[rows] = _secular_block(levels, z, total, k[rows], g[rows], start_at, near)
+
+    step = max(1, RANK_ONE_BLOCK // levels.size)
+    if fit is None:
+        for start in range(0, k.size, step):
+            solve(slice(start, start + step), None)
+        return pole, offset
+    zero = np.flatnonzero(k == 0)
+    for start in range(0, zero.size, step):
+        solve(zero[start:start + step], None)
+    # A fitted row holds its window, padded to the widest, and three series.
+    widest = (fit.brackets - fit.lo).max() + (fit.hi - fit.brackets).max() + 1
+    step = max(1, RANK_ONE_BLOCK // (widest + 3 * (FIT_DEGREE + 1)))
+    for start in range(0, k.size, step):
+        rows = start + np.flatnonzero(k[start:start + step])
+        if rows.size:
+            solve(rows, fit)
     return pole, offset
+
+
+@dataclass(frozen=True, eq=False)
+class FarPoleFit:
+    """Which poles secular_roots sums at each step of a root, and the
+    Chebyshev series that stand in for the others; see far_pole_fit.
+
+    Attributes:
+        brackets: The root indices k > 0 fitted, ascending.
+        lo, hi: Each bracket's window of poles, levels[lo:hi].
+        coef: Shape (3, brackets.size, FIT_DEGREE + 1): per bracket, the
+            series of the far poles' sum and of their slopes left and right
+            of the bracket, zero where no pole lies outside the window.
+    """
+
+    brackets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def far_pole_fit(levels, weights, brackets) -> FarPoleFit:
+    """The far-pole fit of the roots brackets (each k > 0) of
+    sum_j weights_j / (levels_j - x) = 1 / g, for any g.
+
+    Root k's bracket runs from levels[k - 1] to levels[k].  Its window is
+    the run of poles within FIT_REACH bracket widths of it; every other
+    pole lies at least that far away, so its terms are smooth on the
+    bracket.  Their sum and their squared terms summed left and right of
+    the bracket are taken at the FIT_DEGREE + 1 Chebyshev nodes and turned
+    into series by a cosine matrix.  The build works in offset coordinates:
+    x is the bracket's left pole plus an offset, every distance is a level
+    difference less that offset, rounded as _level_gaps rounds them, and
+    the terms are scaled by the bracket's width.  A bracket's windows and
+    series depend on it alone, not on the other brackets fitted with it or
+    on RANK_ONE_BLOCK.  The build costs O(FIT_DEGREE * K) per bracket with
+    far poles, in blocks of RANK_ONE_BLOCK elements.
+    """
+    size, nodes = levels.size, FIT_DEGREE + 1
+    # Each requested root once, ascending; np.unique without a return flag
+    # would import numpy.ma.
+    brackets = np.flatnonzero(np.bincount(brackets, minlength=size))
+    left = brackets - 1
+    width = levels[brackets] - levels[left]
+    lo, hi = _fit_windows(levels, left, brackets, FIT_REACH * width)
+    coef = np.zeros((3, brackets.size, nodes))
+    far = np.flatnonzero((lo > 0) | (hi < size))
+    # One row per node of each bracket with far poles.  With r_j the width
+    # over the distance, the row holds sum_j weights_j * r_j over the far
+    # poles, and sum_j weights_j * r_j**2 over those left of the bracket
+    # and over those right of it.
+    which = far.repeat(nodes)
+    spots = (width[far, None] * _FIT_SPOTS).ravel()
+    samples = np.empty((which.size, 3))
+    step = max(1, RANK_ONE_BLOCK // size)
+    buf = np.empty((min(step, which.size), size))
+    for start in range(0, which.size, step):
+        b = which[start:start + step]
+        terms = _level_gaps(levels, left[b], spots[start:start + step], out=buf[: b.size])
+        np.divide(width[b, None], terms, out=terms)
+        # Zero each row's window, a run of lo..hi in the flattened rows.
+        count = hi[b] - lo[b]
+        first = np.arange(b.size) * size + lo[b] - (np.cumsum(count) - count)
+        terms.ravel()[np.arange(count.sum()) + np.repeat(first, count)] = 0.0
+        terms *= weights
+        cuts = np.empty((b.size, 2), dtype=np.intp)
+        cuts[:, 0] = np.arange(b.size) * size
+        cuts[:, 1] = cuts[:, 0] + brackets[b]
+        samples[start:start + b.size, 0] = np.add.reduceat(terms.ravel(), cuts[:, 0])
+        # weights_j * r_j**2 in place, as (weights_j * r_j)**2 / weights_j.
+        np.square(terms, out=terms)
+        terms /= weights
+        samples[start:start + b.size, 1:] = np.add.reduceat(
+            terms.ravel(), cuts.ravel()
+        ).reshape(-1, 2)
+    # Each coefficient sums its bracket's samples in node order.  The mean,
+    # the first coefficient, is taken out of the samples the others are
+    # formed from: it does not change them, and each is then rounded
+    # relative to the samples' spread, not to their size.
+    samples = samples.reshape(far.size, nodes, 3).transpose(1, 2, 0)
+    chunk = max(1, RANK_ONE_BLOCK // (3 * nodes))
+    for start in range(0, far.size, chunk):
+        part = samples[:, :, start:start + chunk]
+        series = np.zeros((*part.shape[1:], nodes))
+        series[..., 0] = mean = part.mean(axis=0)
+        for node in range(nodes):
+            series[..., 1:] += (part[node] - mean)[..., None] * _FIT_COSINES[1:, node]
+        coef[:, far[start:start + chunk]] = series
+    return FarPoleFit(brackets, lo, hi, coef)
+
+
+def _fit_windows(levels, left, right, reach) -> tuple[np.ndarray, np.ndarray]:
+    """The poles levels[lo:hi] whose differences from the bracket's nearer
+    end are within reach, per bracket (left, right).  A bisection on the
+    pole index finds lo and hi; each test compares one level difference,
+    rounded once, so an exact shift of the levels moves no window."""
+    lo, top = np.zeros_like(left), left.copy()
+    bottom, hi = right.copy(), np.full_like(right, levels.size - 1)
+    for _ in range(levels.size.bit_length()):
+        mid = (lo + top) // 2
+        near = levels[mid] - levels[left] >= -reach
+        lo, top = np.where(near, lo, mid + 1), np.where(near, mid, top)
+        mid = (bottom + hi + 1) // 2
+        near = levels[mid] - levels[right] <= reach
+        bottom, hi = np.where(near, mid, bottom), np.where(near, hi, mid - 1)
+    return lo, hi + 1
+
+
+def _direct_sums(levels, z, right, pole, offset, buf):
+    """The secular sum at the roots levels[pole] + offset over all K poles,
+    its slopes split before the right pole, the distances to the poles
+    left and right of the bracket, and the unit the slopes are scaled by:
+    (f, slope_left, slope_right, d_left, d_right, unit)."""
+    dist = _level_gaps(levels, pole, offset, out=buf[: pole.size])
+    # Each row's sums split before its right pole.
+    cuts = np.empty((pole.size, 2), dtype=np.intp)
+    cuts[:, 0] = np.arange(pole.size) * levels.size
+    np.add(cuts[:, 0], right, out=cuts[:, 1])
+    d_right = dist.ravel()[cuts[:, 1]]
+    d_left = dist.ravel()[cuts[:, 1] - 1]
+    np.divide(z, dist, out=dist)
+    # Per row, since BLAS matrix-vector products round by row position.
+    f = np.matmul(dist[:, None, :], z)[:, 0]
+    # Lengths in units of the distance to the nearer model pole keep the
+    # squared terms in range when the levels span hundreds of decades.
+    unit = np.minimum(np.abs(d_left), np.abs(d_right))
+    dist *= unit[:, None]
+    np.square(dist, out=dist)
+    slopes = np.add.reduceat(dist.ravel(), cuts.ravel()).reshape(-1, 2)
+    return f, slopes[:, 0], slopes[:, 1], d_left, d_right, unit
+
+
+def _windows(levels, z, fit, k):
+    """The window of each root k > 0 of a block, for _fitted_sums: its
+    levels and square-root weights, the bounds of its sums, and its
+    bracket's place in fit.  A row holds the window's left part, ending at the
+    left pole, then its right part, starting at the right pole; the parts
+    are padded to the widest row's, with one column to spare.  Each row's
+    sums run over its own poles only, so the padding leaves their bits
+    alone."""
+    at = np.searchsorted(fit.brackets, k)
+    lo, hi = fit.lo[at], fit.hi[at]
+    n_left = (k - lo).max()
+    index = np.arange(1 - n_left, (hi - k).max() + 2) + (k - 1)[:, None]
+    np.clip(index, 0, levels.size - 1, out=index)
+    bounds = np.empty((k.size, 3), dtype=np.intp)
+    bounds[:, 1] = np.arange(k.size) * index.shape[1] + n_left
+    bounds[:, 0] = bounds[:, 1] - (k - lo)
+    bounds[:, 2] = bounds[:, 1] + (hi - k)
+    return levels[index], z[index], bounds, at
+
+
+def _keep_rows(window, keep):
+    """The _windows of the rows keep of a block, each row's sum bounds
+    moved to where the row now sits."""
+    levels, z, bounds, at = window
+    rows = np.flatnonzero(keep)
+    bounds = bounds[rows] + ((np.arange(rows.size) - rows) * levels.shape[1])[:, None]
+    return levels[rows], z[rows], bounds, at[rows]
+
+
+def _fitted_sums(fit, window, width, near_left, offset):
+    """_direct_sums for the roots k > 0 of a block from their _windows: the
+    window's poles summed, the far ones from the bracket's series in fit."""
+    levels, z, bounds, at = window
+    far = _far_sums(fit.coef, at, np.where(near_left, offset, offset + width) / width)
+    n_left = bounds[0, 1]
+    # The pole's level ends the left part or starts the right one.
+    pole = np.where(near_left, levels[:, n_left - 1], levels[:, n_left])
+    dist = np.subtract(levels, pole[:, None])
+    dist -= offset[:, None]
+    d_left, d_right = dist[:, n_left - 1].copy(), dist[:, n_left].copy()
+    unit = np.minimum(np.abs(d_left), np.abs(d_right))
+    np.divide(z, dist, out=dist)
+    f = np.add.reduceat((z * dist).ravel(), bounds.ravel()).reshape(-1, 3)
+    f = f[:, 0] + f[:, 1] + far[0] / width
+    dist *= unit[:, None]
+    np.square(dist, out=dist)
+    slopes = np.add.reduceat(dist.ravel(), bounds.ravel()).reshape(-1, 3)
+    scale = np.square(unit / width)
+    return f, slopes[:, 0] + far[1] * scale, slopes[:, 1] + far[2] * scale, d_left, d_right, unit
+
+
+def _far_sums(coef, at, x):
+    """The series coef[at] at x, the place of each root in its bracket as a
+    fraction of the bracket."""
+    # T_0 .. T_FIT_DEGREE at x mapped to [-1, 1], each run of them by
+    # T_(n + j) = 2 T_n T_j - T_(n - j).
+    basis = np.empty((FIT_DEGREE + 1, x.size))
+    basis[0] = 1.0
+    basis[1] = 2.0 * x - 1.0
+    n = 1
+    while n < FIT_DEGREE:
+        top = min(2 * n, FIT_DEGREE)
+        np.multiply(basis[1 : top - n + 1], 2.0 * basis[n], out=basis[n + 1 : top + 1])
+        basis[n + 1 : top + 1] -= basis[2 * n - top : n][::-1]
+        n = top
+    basis = np.ascontiguousarray(basis.T)
+    # Per row: einsum sums each row's products in the same order at any row
+    # count when both operands run contiguously over the degree.
+    return [np.einsum("rm,rm->r", np.take(series, at, axis=0), basis) for series in coef]
 
 
 # A degenerate model, such as one at an exact zero of f, gives inf or NaN
 # candidates, which the bracket tests reject.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.ndarray]:
-    """secular_roots on one block of rows, from the guesses start_at or None."""
+def _secular_block(levels, z, total, k, g, start_at, fit) -> tuple[np.ndarray, np.ndarray]:
+    """secular_roots on one block of rows, from the guesses start_at or None,
+    by the far-pole fit fit or by direct sums."""
     inner = k > 0
     # Model poles: the two bracketing poles, or poles 0 and 1 for root 0.
     left, right = np.maximum(k - 1, 0), np.maximum(k, 1)
@@ -440,31 +697,23 @@ def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.nda
         lo[move], hi[move] = -hi[move], -lo[move]
         offset = np.clip(start_at[1], lo, hi)
     target = 1.0 / g
-    # One buffer for every step's distances spares the allocator fresh pages.
-    active, buf = np.arange(k.size), np.empty((k.size, levels.size))
-    # Row r of the buffer starts at flat index starts[r]; the pole right of
-    # its root's bracket sits at starts[r] + right, the left one just before.
-    starts = np.arange(k.size) * levels.size
+    active = np.arange(k.size)
+    # One buffer for every direct step's distances spares the allocator
+    # fresh pages.
+    if fit is None:
+        buf = np.empty((k.size, levels.size))
+    else:
+        window = _windows(levels, z, fit, k)
     for it in range(RANK_ONE_MAX_STEPS):
         if active.size == 0:
             break
-        at, lft, rgt = offset[active], left[active], right[active]
-        dist = _level_gaps(levels, pole[active], at, out=buf[: active.size])
-        # Each row's sums split before its right pole.
-        cuts = np.empty((active.size, 2), dtype=np.intp)
-        cuts[:, 0] = starts[: active.size]
-        np.add(cuts[:, 0], rgt, out=cuts[:, 1])
-        d_right = dist.ravel()[cuts[:, 1]]
-        d_left = dist.ravel()[cuts[:, 1] - 1]
-        np.divide(z, dist, out=dist)
-        # Per row, since BLAS matrix-vector products round by row position.
-        f = np.matmul(dist[:, None, :], z)[:, 0] - target[active]
-        # Lengths in units of the distance to the nearer model pole keep the
-        # squared terms in range when the levels span hundreds of decades.
-        unit = np.minimum(np.abs(d_left), np.abs(d_right))
-        dist *= unit[:, None]
-        np.square(dist, out=dist)
-        slopes = np.add.reduceat(dist.ravel(), cuts.ravel()).reshape(-1, 2)
+        at, lft = offset[active], left[active]
+        if fit is None:
+            sums = _direct_sums(levels, z, right[active], pole[active], at, buf)
+        else:
+            sums = _fitted_sums(fit, window, width[active], pole[active] == lft, at)
+        f, slope_left, slope_right, d_left, d_right, unit = sums
+        f -= target[active]
         lo_a = np.where(f < 0, at, lo[active])
         hi_a = np.where(f > 0, at, hi[active])
         if it == 0 and start_at is None:
@@ -476,8 +725,8 @@ def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.nda
             hi_a[move] = -tiny
         # Near: the pole the root is measured from; far: the other one.
         near_left = pole[active] == lft
-        s_near = np.where(near_left, slopes[:, 0], slopes[:, 1])
-        s_far = np.where(near_left, slopes[:, 1], slopes[:, 0])
+        s_near = np.where(near_left, slope_left, slope_right)
+        s_far = np.where(near_left, slope_right, slope_left)
         d_near = -at / unit
         d_far = np.where(near_left, d_right, d_left) / unit
         spacing = np.where(near_left, width[active], -width[active]) / unit
@@ -521,7 +770,10 @@ def _secular_block(levels, z, total, k, g, start_at) -> tuple[np.ndarray, np.nda
             pole[rows] = left[rows] + right[rows] - pole[rows]
             done &= ~flip
         lo[active], hi[active], offset[active] = lo_a, hi_a, new
-        active = active[~done]
+        if done.any():
+            active = active[~done]
+            if fit is not None:
+                window = _keep_rows(window, ~done)
     if active.size:
         raise NumericalRangeError(
             f"{active.size} secular roots did not converge in "

@@ -260,9 +260,9 @@ def test_warm_started_schedule_matches_dense_path(monkeypatch, tied, steps):
     assert warm == (steps == 76)
     guessed, kernel = [], spectral.rank_one_eigh
 
-    def spy(levels, weights, couplings, guess=None):
+    def spy(levels, weights, couplings, guess=None, fit=None):
         guessed.append(guess is not None)
-        return kernel(levels, weights, couplings, guess)
+        return kernel(levels, weights, couplings, guess, fit)
 
     monkeypatch.setattr(spectral, "rank_one_eigh", spy)
     diag = np.random.default_rng(11).uniform(0.0, 9.0, 32)

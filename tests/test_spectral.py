@@ -5,6 +5,9 @@ decompositions done directly with numpy, and so are the secular-equation
 gap scan, delta_max and commutator norm of the default driver.
 """
 
+import decimal
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -405,10 +408,10 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
 # default-driver schedule
 
 
-def _eigenpairs(levels, weights, couplings, guess=None):
+def _eigenpairs(levels, weights, couplings, guess=None, fit=None):
     """Eigenvalues per problem, and each problem's vectors as columns."""
     levels = np.asarray(levels, dtype=np.float64)
-    pole, offset, zhat = spectral.rank_one_eigh(levels, weights, couplings, guess)
+    pole, offset, zhat = spectral.rank_one_eigh(levels, weights, couplings, guess, fit)
     vectors = [spectral.rank_one_vectors(levels, *row).T for row in zip(zhat, pole, offset)]
     return levels[pole] + offset, np.array(vectors)
 
@@ -514,9 +517,9 @@ def test_warm_starts_follow_the_anchor_rule(monkeypatch):
     couplings = (1.0 - s) * 8.0 / s
     kernel, calls = spectral.rank_one_eigh, []
 
-    def recorded(levels, weights, couplings, guess=None):
+    def recorded(levels, weights, couplings, guess=None, fit=None):
         calls.append((couplings, None if guess is None else [part.copy() for part in guess]))
-        return kernel(levels, weights, couplings, guess)
+        return kernel(levels, weights, couplings, guess, fit)
 
     monkeypatch.setattr(spectral, "rank_one_eigh", recorded)
     out = list(spectral._slice_roots(levels, weights, couplings, steps))
@@ -813,9 +816,9 @@ def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, steps, chunk):
     run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
     kernel, rows = spectral.rank_one_eigh, []
 
-    def counted(levels, weights, couplings, guess=None):
+    def counted(levels, weights, couplings, guess=None, fit=None):
         rows.append(len(couplings))
-        return kernel(levels, weights, couplings, guess)
+        return kernel(levels, weights, couplings, guess, fit)
 
     state = evolve(*run, 20.0, steps=steps).final_state
     monkeypatch.setattr(spectral, "rank_one_eigh", counted)
@@ -846,3 +849,158 @@ def test_default_driver_matches_dense_oracle_at_extreme_ranges(levels, tied, sca
     assert np.all(np.abs(curve.lambda0 - ref[:, 0]) <= tol)
     assert np.all(np.abs(curve.lambda1 - ref[:, 1]) <= tol)
     assert abs(delta_max(h0, hw) - dmax) <= 1e-13 * dmax
+
+
+# ---------------------------------------------------------------------------
+# far-pole fits: each root step of a root k > 0 sums the poles of its
+# bracket's window and takes the others from Chebyshev series
+
+
+def _full_fit(levels, weights):
+    return spectral.far_pole_fit(levels, weights, np.arange(1, levels.size))
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_fitted_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
+    # The checks of the two tests above, with every root k > 0 fitted.
+    fit = _full_fit(levels, weights)
+    values, vectors = _eigenpairs(levels, weights, KERNEL_COUPLINGS, fit=fit)
+    _assert_dense_eigenpairs(levels, weights, KERNEL_COUPLINGS, values, vectors)
+    cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, None, fit)
+    norm = np.max(np.abs(values), axis=1, keepdims=True)
+    for name, guess in _starts(levels, *cold[:2]).items():
+        guessed, _ = _eigenpairs(levels, weights, KERNEL_COUPLINGS, guess, fit)
+        assert np.all(np.abs(guessed - values) <= 1e-14 * norm), name
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_far_pole_fit_matches_the_direct_sums(levels, weights):
+    # At points across every bracket, measured from either pole, the fitted
+    # sum and its two slopes match exact sums of the float terms within
+    # 8 eps of the sum of their magnitudes.  Measured: at most 2.5 eps for
+    # the sum and 4.4 eps for the slopes (wide_weights); the direct sums
+    # read at most 2.5 eps.
+    eps = np.finfo(np.float64).eps
+    size, z = levels.size, np.sqrt(weights)
+    fit = _full_fit(levels, weights)
+    place = np.array([1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-3])
+    k = np.arange(1, size).repeat(place.size)
+    width = levels[k] - levels[k - 1]
+    from_right = np.tile(place > 0.5, size - 1)
+    pole = np.where(from_right, k, k - 1)
+    offset = (np.tile(place, size - 1) - from_right) * width
+    window = spectral._windows(levels, z, fit, k)
+    f, left, right, *_, unit = spectral._fitted_sums(fit, window, width, ~from_right, offset)
+    gaps = spectral._level_gaps(levels, pole, offset)
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = weights / gaps
+        slopes = np.square(z * unit[:, None] / gaps)
+    for r in range(k.size):
+        assert abs(f[r] - math.fsum(terms[r])) <= 8 * eps * np.sum(np.abs(terms[r]))
+        bound = 8 * eps * np.sum(slopes[r])
+        assert abs(left[r] - math.fsum(slopes[r, : k[r]])) <= bound
+        assert abs(right[r] - math.fsum(slopes[r, k[r]:])) <= bound
+
+
+@pytest.mark.parametrize("levels, weights", [
+    case for case in _kernel_cases() if case.id in ("unit", "decades", "wide_weights")
+])
+def test_far_pole_fit_bits_depend_on_neither_block_nor_brackets(monkeypatch, levels, weights):
+    whole = _full_fit(levels, weights)
+
+    def rows(fit, brackets):
+        at = np.searchsorted(fit.brackets, brackets)
+        return [part.tobytes() for part in (fit.lo[at], fit.hi[at], fit.coef[:, at])]
+
+    picks = [np.array([1]), np.arange(levels.size - 1, 0, -3).repeat(2), np.arange(2, levels.size, 5)]
+    for block in (None, 1, 7 * levels.size, 1 << 10):
+        if block is not None:
+            monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
+        for brackets in picks:
+            part = spectral.far_pole_fit(levels, weights, brackets)
+            assert rows(part, brackets) == rows(whole, brackets), (block, brackets)
+
+
+def test_only_root_zero_takes_direct_sums_on_the_bundled_schedule(monkeypatch):
+    # A fall-back to the O(K) sum for roots k > 0 would keep every root
+    # right and only cost time, so it is counted here.
+    levels, counts = np.unique(
+        build_final(builtin_instance(), Linearization.pair(0.57)).diagonal, return_counts=True
+    )
+    s = (np.arange(512) + 0.5) / 512
+    couplings = (1.0 - s) * 8.0 / s
+    block, direct, blocks, direct_rows = spectral._secular_block, spectral._direct_sums, [], []
+
+    def recorded(levels, z, total, k, g, start_at, fit):
+        blocks.append((k.copy(), fit))
+        return block(levels, z, total, k, g, start_at, fit)
+
+    def counted(levels, z, right, pole, offset, buf):
+        direct_rows.append(pole.size)
+        return direct(levels, z, right, pole, offset, buf)
+
+    monkeypatch.setattr(spectral, "_secular_block", recorded)
+    monkeypatch.setattr(spectral, "_direct_sums", counted)
+    for _ in spectral._slice_roots(levels, counts / 128.0, couplings, 512):
+        pass
+    assert all(np.all(k == 0) for k, fit in blocks if fit is None)
+    assert all(np.all(k > 0) for k, fit in blocks if fit is not None)
+    assert sum(k.size for k, fit in blocks if fit is not None) == 512 * (levels.size - 1)
+    # Root 0's 512 rows take a few direct steps each.
+    assert sum(k.size for k, fit in blocks if fit is None) == 512
+    assert sum(direct_rows) <= 8 * 512
+
+
+def _reference_root(levels, weights, g, pole, offset):
+    """The root next to levels[pole] + offset of the secular equation, by
+    Newton steps at 60 digits from the exact float values."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        e = [decimal.Decimal(float(v)) for v in levels]
+        w = [decimal.Decimal(float(v)) for v in weights]
+        target = 1 / decimal.Decimal(float(g))
+        x = e[pole] + decimal.Decimal(float(offset))
+        for _ in range(4):
+            dist = [ej - x for ej in e]
+            f = sum(wj / dj for wj, dj in zip(w, dist)) - target
+            x -= f / sum(wj / (dj * dj) for wj, dj in zip(w, dist))
+        return x, e[pole]
+
+
+def _uniform_levels():
+    levels = np.sort(np.random.default_rng(10).uniform(0.0, 600.0, 1024))
+    return levels, np.full(1024, 1.0 / 1024)
+
+
+def _bundled_levels():
+    levels, counts = np.unique(
+        build_final(builtin_instance(), Linearization.pair(0.57)).diagonal, return_counts=True
+    )
+    return levels, counts / 128.0
+
+
+# With every root step summing all K poles, the worst error of these roots
+# read 3.18e-16 on the bundled table and 6.19e-16 on the uniform n = 10
+# table; with the fits, 3.42e-16 and 5.11e-16.  The fits may cost at most
+# a factor of 4.
+@pytest.mark.parametrize("table, direct_worst", [
+    pytest.param(_bundled_levels, 3.18e-16, id="bundled"),
+    pytest.param(_uniform_levels, 6.19e-16, id="uniform_n10"),
+])
+def test_fitted_roots_match_a_60_digit_solve(table, direct_worst):
+    # Roots 0, 1 and K - 1 and those of the narrowest and widest brackets,
+    # at couplings from s = 1e-3 to s = 1 - 1e-6; each error is relative to
+    # the root's distance from the pole it is measured from.
+    levels, weights = table()
+    gaps = np.diff(levels)
+    roots = np.unique([0, 1, levels.size - 1, np.argmin(gaps) + 1, np.argmax(gaps) + 1])
+    s = np.array([1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6])
+    k, g = roots.repeat(s.size), np.tile((1.0 - s) * 8.0 / s, roots.size)
+    fit = spectral.far_pole_fit(levels, weights, roots[roots > 0])
+    pole, offset = spectral.secular_roots(levels, weights, k, g, fit=fit)
+    worst = 0.0
+    for row in range(k.size):
+        ref, at = _reference_root(levels, weights, g[row], pole[row], offset[row])
+        root = at + decimal.Decimal(float(offset[row]))
+        worst = max(worst, float(abs(root - ref) / abs(ref - at)))
+    assert worst <= 4 * direct_worst
