@@ -80,10 +80,12 @@ FIT_REACH = 2.0
 #: their slopes left and right of the bracket.
 FIT_DEGREE = 15
 # The series' nodes as fractions of the bracket, and the cosine matrix that
-# takes the values there to the series' coefficients.
-_FIT_ANGLES = (np.arange(FIT_DEGREE + 1) + 0.5) * (np.pi / (FIT_DEGREE + 1))
-_FIT_SPOTS = 0.5 * (1.0 + np.cos(_FIT_ANGLES))
-_FIT_COSINES = np.cos(np.outer(np.arange(FIT_DEGREE + 1), _FIT_ANGLES)) * (2.0 / (FIT_DEGREE + 1))
+# takes the values there to the series' coefficients.  By math.cos: np.cos
+# here raised the resident memory after `import moqa` by about 0.25 MB.
+_FIT_ANGLES = [(j + 0.5) * (math.pi / (FIT_DEGREE + 1)) for j in range(FIT_DEGREE + 1)]
+_FIT_SPOTS = np.array([0.5 * (1.0 + math.cos(a)) for a in _FIT_ANGLES])
+_FIT_COSINES = np.array([[math.cos(m * a) for a in _FIT_ANGLES] for m in range(FIT_DEGREE + 1)])
+_FIT_COSINES *= 2.0 / (FIT_DEGREE + 1)
 _FIT_COSINES[0] *= 0.5
 #: The anchor stride: rank_one_evolve solves every ANCHOR-th slice, and the
 #: last, from the bracket midpoints and starts the slices between from
@@ -359,7 +361,7 @@ def _slice_roots(levels, weights, couplings, block):
     steps = couplings.size
     stride = ANCHOR if steps >= WARM_MIN_STEPS else 1
     block = -(-block // stride) * stride
-    fit = far_pole_fit(levels, weights, np.arange(1, levels.size)) if stride > 1 else None
+    fit = far_pole_fit(levels, weights) if stride > 1 else None
     for start in range(0, steps, block):
         part = np.arange(start, min(start + block, steps))
         at_anchor = (part % stride == 0) | (part == steps - 1)
@@ -421,10 +423,10 @@ def secular_roots(
     names the right), and is measured from the other pole once an iterate
     lies three times nearer to it.  A good guess saves steps.
 
-    Without a fit, every step of a root sums all K poles.  With the
-    far_pole_fit of its bracket, a step of a root k > 0 sums the poles of
-    the bracket's window and evaluates one Chebyshev series for the rest,
-    at O(window + FIT_DEGREE); root 0, whose bracket grows without bound
+    Without a fit, every step of a root sums all K poles.  With a
+    far_pole_fit, a step of a root k > 0 sums the poles of its bracket's
+    window and evaluates one Chebyshev series for the rest, at
+    O(window + FIT_DEGREE); root 0, whose bracket grows without bound
     with g, always takes the O(K) sum.
 
     Args:
@@ -435,8 +437,7 @@ def secular_roots(
             bounded.
         guess: Optional (pole, offset) start per row, in the format of the
             result.  The roots are written into these two arrays.
-        fit: Optional far_pole_fit of levels and weights that covers every
-            root index k > 0 among the rows.
+        fit: Optional far_pole_fit of levels and weights.
 
     Returns:
         (pole, offset) per row; the root is levels[pole] + offset.
@@ -461,7 +462,8 @@ def secular_roots(
     for start in range(0, zero.size, step):
         solve(zero[start:start + step], None)
     # A fitted row holds its window, padded to the widest, and three series.
-    widest = (fit.brackets - fit.lo).max() + (fit.hi - fit.brackets).max() + 1
+    brackets = np.arange(1, levels.size)
+    widest = (brackets - fit.lo).max() + (fit.hi - brackets).max() + 1
     step = max(1, RANK_ONE_BLOCK // (widest + 3 * (FIT_DEGREE + 1)))
     for start in range(0, k.size, step):
         rows = start + np.flatnonzero(k[start:start + step])
@@ -472,26 +474,24 @@ def secular_roots(
 
 @dataclass(frozen=True, eq=False)
 class FarPoleFit:
-    """Which poles secular_roots sums at each step of a root, and the
+    """Which poles secular_roots sums at each step of a root k > 0, and the
     Chebyshev series that stand in for the others; see far_pole_fit.
 
     Attributes:
-        brackets: The root indices k > 0 fitted, ascending.
-        lo, hi: Each bracket's window of poles, levels[lo:hi].
-        coef: Shape (3, brackets.size, FIT_DEGREE + 1): per bracket, the
-            series of the far poles' sum and of their slopes left and right
-            of the bracket, zero where no pole lies outside the window.
+        lo, hi: Root k's window of poles, levels[lo[k - 1]:hi[k - 1]].
+        coef: Shape (3, K - 1, FIT_DEGREE + 1): per root k > 0, the series
+            of the far poles' sum and of their slopes left and right of the
+            bracket, zero where no pole lies outside the window.
     """
 
-    brackets: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     coef: np.ndarray
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def far_pole_fit(levels, weights, brackets) -> FarPoleFit:
-    """The far-pole fit of the roots brackets (each k > 0) of
+def far_pole_fit(levels, weights) -> FarPoleFit:
+    """The far-pole fit of the roots k > 0 of
     sum_j weights_j / (levels_j - x) = 1 / g, for any g.
 
     Root k's bracket runs from levels[k - 1] to levels[k].  Its window is
@@ -503,31 +503,29 @@ def far_pole_fit(levels, weights, brackets) -> FarPoleFit:
     x is the bracket's left pole plus an offset, every distance is a level
     difference less that offset, rounded as _level_gaps rounds them, and
     the terms are scaled by the bracket's width.  A bracket's windows and
-    series depend on it alone, not on the other brackets fitted with it or
-    on RANK_ONE_BLOCK.  The build costs O(FIT_DEGREE * K) per bracket with
-    far poles, in blocks of RANK_ONE_BLOCK elements.
+    series depend on it alone, not on RANK_ONE_BLOCK.  The build costs
+    O(FIT_DEGREE * K) per bracket with far poles, a part of brackets at a
+    time whose temporaries stay within RANK_ONE_BLOCK elements, or within
+    one bracket's FIT_DEGREE + 1 rows of K.
     """
     size, nodes = levels.size, FIT_DEGREE + 1
-    # Each requested root once, ascending; np.unique without a return flag
-    # would import numpy.ma.
-    brackets = np.flatnonzero(np.bincount(brackets, minlength=size))
-    left = brackets - 1
-    width = levels[brackets] - levels[left]
-    lo, hi = _fit_windows(levels, left, brackets, FIT_REACH * width)
-    coef = np.zeros((3, brackets.size, nodes))
+    right = np.arange(1, size)
+    left = right - 1
+    width = levels[right] - levels[left]
+    lo, hi = _fit_windows(levels, left, right, FIT_REACH * width)
+    coef = np.zeros((3, size - 1, nodes))
     far = np.flatnonzero((lo > 0) | (hi < size))
-    # One row per node of each bracket with far poles.  With r_j the width
-    # over the distance, the row holds sum_j weights_j * r_j over the far
-    # poles, and sum_j weights_j * r_j**2 over those left of the bracket
-    # and over those right of it.
-    which = far.repeat(nodes)
-    spots = (width[far, None] * _FIT_SPOTS).ravel()
-    samples = np.empty((which.size, 3))
-    step = max(1, RANK_ONE_BLOCK // size)
-    buf = np.empty((min(step, which.size), size))
-    for start in range(0, which.size, step):
-        b = which[start:start + step]
-        terms = _level_gaps(levels, left[b], spots[start:start + step], out=buf[: b.size])
+    step = max(1, RANK_ONE_BLOCK // (nodes * size))
+    buf = np.empty((min(step, far.size) * nodes, size))
+    for start in range(0, far.size, step):
+        part = far[start:start + step]
+        # One row per node of each bracket.  With r_j the width over the
+        # distance, the row holds sum_j weights_j * r_j over the far poles,
+        # and sum_j weights_j * r_j**2 over those left of the bracket and
+        # over those right of it.
+        b = part.repeat(nodes)
+        spots = (width[part, None] * _FIT_SPOTS).ravel()
+        terms = _level_gaps(levels, left[b], spots, out=buf[: b.size])
         np.divide(width[b, None], terms, out=terms)
         # Zero each row's window, a run of lo..hi in the flattened rows.
         count = hi[b] - lo[b]
@@ -536,28 +534,25 @@ def far_pole_fit(levels, weights, brackets) -> FarPoleFit:
         terms *= weights
         cuts = np.empty((b.size, 2), dtype=np.intp)
         cuts[:, 0] = np.arange(b.size) * size
-        cuts[:, 1] = cuts[:, 0] + brackets[b]
-        samples[start:start + b.size, 0] = np.add.reduceat(terms.ravel(), cuts[:, 0])
+        cuts[:, 1] = cuts[:, 0] + right[b]
+        samples = np.empty((b.size, 3))
+        samples[:, 0] = np.add.reduceat(terms.ravel(), cuts[:, 0])
         # weights_j * r_j**2 in place, as (weights_j * r_j)**2 / weights_j.
         np.square(terms, out=terms)
         terms /= weights
-        samples[start:start + b.size, 1:] = np.add.reduceat(
-            terms.ravel(), cuts.ravel()
-        ).reshape(-1, 2)
-    # Each coefficient sums its bracket's samples in node order.  The mean,
-    # the first coefficient, is taken out of the samples the others are
-    # formed from: it does not change them, and each is then rounded
-    # relative to the samples' spread, not to their size.
-    samples = samples.reshape(far.size, nodes, 3).transpose(1, 2, 0)
-    chunk = max(1, RANK_ONE_BLOCK // (3 * nodes))
-    for start in range(0, far.size, chunk):
-        part = samples[:, :, start:start + chunk]
-        series = np.zeros((*part.shape[1:], nodes))
-        series[..., 0] = mean = part.mean(axis=0)
+        samples[:, 1:] = np.add.reduceat(terms.ravel(), cuts.ravel()).reshape(-1, 2)
+        # Each coefficient sums its bracket's samples in node order.  The
+        # mean, the first coefficient, is taken out of the samples the
+        # others are formed from: it does not change them, and each is then
+        # rounded relative to the samples' spread, not to their size.
+        samples = samples.reshape(part.size, nodes, 3).transpose(1, 2, 0)
+        series = np.zeros((3, part.size, nodes))
+        series[..., 0] = mean = samples.mean(axis=0)
+        samples = samples - mean
         for node in range(nodes):
-            series[..., 1:] += (part[node] - mean)[..., None] * _FIT_COSINES[1:, node]
-        coef[:, far[start:start + chunk]] = series
-    return FarPoleFit(brackets, lo, hi, coef)
+            series[..., 1:] += samples[node, ..., None] * _FIT_COSINES[1:, node]
+        coef[:, part] = series
+    return FarPoleFit(lo, hi, coef)
 
 
 def _fit_windows(levels, left, right, reach) -> tuple[np.ndarray, np.ndarray]:
@@ -609,7 +604,7 @@ def _windows(levels, z, fit, k):
     are padded to the widest row's, with one column to spare.  Each row's
     sums run over its own poles only, so the padding leaves their bits
     alone."""
-    at = np.searchsorted(fit.brackets, k)
+    at = k - 1
     lo, hi = fit.lo[at], fit.hi[at]
     n_left = (k - lo).max()
     index = np.arange(1 - n_left, (hi - k).max() + 2) + (k - 1)[:, None]
@@ -619,15 +614,6 @@ def _windows(levels, z, fit, k):
     bounds[:, 0] = bounds[:, 1] - (k - lo)
     bounds[:, 2] = bounds[:, 1] + (hi - k)
     return levels[index], z[index], bounds, at
-
-
-def _keep_rows(window, keep):
-    """The _windows of the rows keep of a block, each row's sum bounds
-    moved to where the row now sits."""
-    levels, z, bounds, at = window
-    rows = np.flatnonzero(keep)
-    bounds = bounds[rows] + ((np.arange(rows.size) - rows) * levels.shape[1])[:, None]
-    return levels[rows], z[rows], bounds, at[rows]
 
 
 def _fitted_sums(fit, window, width, near_left, offset):
@@ -772,8 +758,10 @@ def _secular_block(levels, z, total, k, g, start_at, fit) -> tuple[np.ndarray, n
         lo[active], hi[active], offset[active] = lo_a, hi_a, new
         if done.any():
             active = active[~done]
-            if fit is not None:
-                window = _keep_rows(window, ~done)
+            if fit is not None and active.size:
+                # Freed before the active rows' window is built, not after.
+                del window
+                window = _windows(levels, z, fit, k[active])
     if active.size:
         raise NumericalRangeError(
             f"{active.size} secular roots did not converge in "

@@ -856,14 +856,10 @@ def test_default_driver_matches_dense_oracle_at_extreme_ranges(levels, tied, sca
 # bracket's window and takes the others from Chebyshev series
 
 
-def _full_fit(levels, weights):
-    return spectral.far_pole_fit(levels, weights, np.arange(1, levels.size))
-
-
 @pytest.mark.parametrize("levels, weights", _kernel_cases())
 def test_fitted_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
     # The checks of the two tests above, with every root k > 0 fitted.
-    fit = _full_fit(levels, weights)
+    fit = spectral.far_pole_fit(levels, weights)
     values, vectors = _eigenpairs(levels, weights, KERNEL_COUPLINGS, fit=fit)
     _assert_dense_eigenpairs(levels, weights, KERNEL_COUPLINGS, values, vectors)
     cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, None, fit)
@@ -882,7 +878,7 @@ def test_far_pole_fit_matches_the_direct_sums(levels, weights):
     # read at most 2.5 eps.
     eps = np.finfo(np.float64).eps
     size, z = levels.size, np.sqrt(weights)
-    fit = _full_fit(levels, weights)
+    fit = spectral.far_pole_fit(levels, weights)
     place = np.array([1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-3])
     k = np.arange(1, size).repeat(place.size)
     width = levels[k] - levels[k - 1]
@@ -905,20 +901,13 @@ def test_far_pole_fit_matches_the_direct_sums(levels, weights):
 @pytest.mark.parametrize("levels, weights", [
     case for case in _kernel_cases() if case.id in ("unit", "decades", "wide_weights")
 ])
-def test_far_pole_fit_bits_depend_on_neither_block_nor_brackets(monkeypatch, levels, weights):
-    whole = _full_fit(levels, weights)
-
-    def rows(fit, brackets):
-        at = np.searchsorted(fit.brackets, brackets)
-        return [part.tobytes() for part in (fit.lo[at], fit.hi[at], fit.coef[:, at])]
-
-    picks = [np.array([1]), np.arange(levels.size - 1, 0, -3).repeat(2), np.arange(2, levels.size, 5)]
-    for block in (None, 1, 7 * levels.size, 1 << 10):
-        if block is not None:
-            monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
-        for brackets in picks:
-            part = spectral.far_pole_fit(levels, weights, brackets)
-            assert rows(part, brackets) == rows(whole, brackets), (block, brackets)
+def test_far_pole_fit_bits_do_not_depend_on_the_block_size(monkeypatch, levels, weights):
+    whole = spectral.far_pole_fit(levels, weights)
+    for block in (1, 7 * levels.size, 1 << 10):
+        monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
+        part = spectral.far_pole_fit(levels, weights)
+        for name in ("lo", "hi", "coef"):
+            assert getattr(part, name).tobytes() == getattr(whole, name).tobytes(), (block, name)
 
 
 def test_only_root_zero_takes_direct_sums_on_the_bundled_schedule(monkeypatch):
@@ -996,7 +985,7 @@ def test_fitted_roots_match_a_60_digit_solve(table, direct_worst):
     roots = np.unique([0, 1, levels.size - 1, np.argmin(gaps) + 1, np.argmax(gaps) + 1])
     s = np.array([1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6])
     k, g = roots.repeat(s.size), np.tile((1.0 - s) * 8.0 / s, roots.size)
-    fit = spectral.far_pole_fit(levels, weights, roots[roots > 0])
+    fit = spectral.far_pole_fit(levels, weights)
     pole, offset = spectral.secular_roots(levels, weights, k, g, fit=fit)
     worst = 0.0
     for row in range(k.size):
