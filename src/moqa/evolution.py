@@ -19,10 +19,10 @@ difference rounded once and each offset subtracted in a separate pass
 roots at the bracket midpoints; the slices between start from those
 roots, interpolated, and take fewer steps.  The stride is spectral.ANCHOR
 with spectral.WARM_MIN_STEPS slices or more, and 1 with fewer.  A
-schedule with anchors builds one spectral.far_pole_fit, in
-O(FIT_DEGREE * K^2), and a root step of every root but the lowest then
-costs O(window + FIT_DEGREE); without anchors, each step sums all K
-levels.
+schedule whose slices times K^1.5 reach spectral.FIT_MIN_WORK builds one
+spectral.far_pole_fit, in O(K^1.5) on evenly spread levels, and a root
+step of every root but the lowest then costs O(window + FIT_DEGREE); a
+smaller schedule sums all K levels at each step.
 Other driver penalties take one dense interpolation and one full
 eigendecomposition, O(N^3), per slice.
 """

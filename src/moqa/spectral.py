@@ -23,11 +23,11 @@ The levels and weights stay the same for every coupling, so a
 far_pole_fit, built once per problem, serves every step of every root
 k > 0: the poles within FIT_REACH bracket widths of the bracket are
 summed, and Chebyshev series of degree FIT_DEGREE stand in for the rest,
-so a step costs O(window + FIT_DEGREE) instead of O(K).  rank_one_evolve
-builds one for a schedule with anchors.  The gap scan and delta_max find
-one or two roots per coupling, too few to pay for a fit, and root 0,
-whose bracket grows without bound with the coupling, always sums all K
-poles.
+so a step costs O(window + FIT_DEGREE) instead of O(K).  Its build costs
+O(K^1.5) on evenly spread levels, and rank_one_evolve builds one once the
+slices times K^1.5 reach FIT_MIN_WORK.  The gap scan and delta_max find
+one or two roots per coupling, too few to pay for a fit, and root 0, whose
+bracket grows without bound with the coupling, always sums all K poles.
 
 Root steps, weights and eigenvectors all start from the gaps
 (levels_j - levels[pole]) - offset, each level difference rounded once
@@ -79,26 +79,23 @@ FIT_REACH = 2.0
 #: ...by Chebyshev series of this degree, one each for their sum and for
 #: their slopes left and right of the bracket.
 FIT_DEGREE = 15
-# The series' nodes as fractions of the bracket, and the cosine matrix that
-# takes the values there to the series' coefficients.  By math.cos: np.cos
-# here raised the resident memory after `import moqa` by about 0.25 MB.
-_FIT_ANGLES = [(j + 0.5) * (math.pi / (FIT_DEGREE + 1)) for j in range(FIT_DEGREE + 1)]
-_FIT_SPOTS = np.array([0.5 * (1.0 + math.cos(a)) for a in _FIT_ANGLES])
-_FIT_COSINES = np.array([[math.cos(m * a) for a in _FIT_ANGLES] for m in range(FIT_DEGREE + 1)])
-_FIT_COSINES *= 2.0 / (FIT_DEGREE + 1)
-_FIT_COSINES[0] *= 0.5
+# far_pole_fit fits the poles beyond a leaf width of sqrt(K) brackets by
+# series of _LEAF_DEGREE, converging as (3 + sqrt 8)**-degree; under
+# _LEAF_MIN levels, leaves cost more numpy calls than they save.
+_LEAF_MIN = 256
+_LEAF_DEGREE = 22
 #: The anchor stride: rank_one_evolve solves every ANCHOR-th slice, and the
 #: last, from the bracket midpoints and starts the slices between from
 #: those roots...
 ANCHOR = 8
 #: ...in schedules of at least this many slices, whose anchors lie at most
-#: a quarter of the schedule apart; those schedules also build a
-#: far_pole_fit.  Shorter schedules take stride 1, so every slice is an
-#: anchor, and no fit.  On a 2-core machine at one BLAS thread, anchors and
-#: fit together made the bundled table's 16 slices 26 % slower, 32 slices
-#: 4 % slower and 64 slices 18 % faster; on a 1024-level table they made 4
-#: slices 46 % slower and 8 slices 9 % faster.
+#: a quarter of the schedule apart; shorter ones take stride 1, so every
+#: slice is an anchor.  On a 2-core machine at one BLAS thread, anchors paid
+#: from about 32 slices at K = 128 and 1024, and a fit from about 32 slices
+#: at K = 128, 12 at 256, 3 at 512, 2 at 1024 and 1 at 2048 and 4096.
 WARM_MIN_STEPS = 32
+#: S slices over K levels build a far_pole_fit once S * K**1.5 reaches this.
+FIT_MIN_WORK = 40000
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,11 +290,12 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     from the bracket midpoints.  Every other slice starts each root from
     the roots of the two anchors around it: interpolated linearly in the
     slice index when both share a pole, else at the nearer anchor's.  The
-    stride is ANCHOR in a schedule of at least WARM_MIN_STEPS slices, and
-    every root step of such a schedule uses one far_pole_fit.  A shorter
-    schedule takes stride 1, solves every slice from the midpoints, as its
-    anchors would lie too far apart to give good starts, and sums all K
-    poles at every step, as a fit would cost more than it saves.
+    stride is ANCHOR in a schedule of at least WARM_MIN_STEPS slices.  A
+    shorter schedule takes stride 1 and solves every slice from the
+    midpoints, as its anchors would lie too far apart to give good starts.
+    Every root step uses one far_pole_fit once the slices times K^1.5 reach
+    FIT_MIN_WORK; a smaller schedule sums all K poles at every step, as a
+    fit would cost more than it saves.
     The parts hold RANK_ONE_BLOCK / K slices rounded up to a whole stride:
     up to ANCHOR - 1 more, so ANCHOR at stride ANCHOR past RANK_ONE_BLOCK /
     ANCHOR levels.  Each part solves its anchors and the next part's first
@@ -361,7 +359,7 @@ def _slice_roots(levels, weights, couplings, block):
     steps = couplings.size
     stride = ANCHOR if steps >= WARM_MIN_STEPS else 1
     block = -(-block // stride) * stride
-    fit = far_pole_fit(levels, weights) if stride > 1 else None
+    fit = far_pole_fit(levels, weights) if steps * levels.size**1.5 >= FIT_MIN_WORK else None
     for start in range(0, steps, block):
         part = np.arange(start, min(start + block, steps))
         at_anchor = (part % stride == 0) | (part == steps - 1)
@@ -499,60 +497,101 @@ def far_pole_fit(levels, weights) -> FarPoleFit:
     pole lies at least that far away, so its terms are smooth on the
     bracket.  Their sum and their squared terms summed left and right of
     the bracket are taken at the FIT_DEGREE + 1 Chebyshev nodes and turned
-    into series by a cosine matrix.  The build works in offset coordinates:
-    x is the bracket's left pole plus an offset, every distance is a level
-    difference less that offset, rounded as _level_gaps rounds them, and
-    the terms are scaled by the bracket's width.  A bracket's windows and
-    series depend on it alone, not on RANK_ONE_BLOCK.  The build costs
-    O(FIT_DEGREE * K) per bracket with far poles, a part of brackets at a
-    time whose temporaries stay within RANK_ONE_BLOCK elements, or within
-    one bracket's FIT_DEGREE + 1 rows of K.
+    into series by a cosine matrix.  Brackets go in leaves of about sqrt(K):
+    the poles beyond a leaf's near zone (within a leaf width of it, or in
+    its windows) enter by series fitted once per leaf, the others term by
+    term.  Each distance is a level difference less a node's offset from
+    the left pole of its bracket or leaf, rounded as _level_gaps rounds
+    them, and each term is scaled by that width.  The build costs O(K^1.5)
+    on evenly spread levels, O(K^2) at worst; no bit of it depends on
+    RANK_ONE_BLOCK, and its temporaries stay within that or a leaf's nodes
+    times K.
     """
-    size, nodes = levels.size, FIT_DEGREE + 1
+    size = levels.size
     right = np.arange(1, size)
     left = right - 1
     width = levels[right] - levels[left]
     lo, hi = _fit_windows(levels, left, right, FIT_REACH * width)
-    coef = np.zeros((3, size - 1, nodes))
-    far = np.flatnonzero((lo > 0) | (hi < size))
-    step = max(1, RANK_ONE_BLOCK // (nodes * size))
-    buf = np.empty((min(step, far.size) * nodes, size))
-    for start in range(0, far.size, step):
-        part = far[start:start + step]
-        # One row per node of each bracket.  With r_j the width over the
-        # distance, the row holds sum_j weights_j * r_j over the far poles,
-        # and sum_j weights_j * r_j**2 over those left of the bracket and
-        # over those right of it.
-        b = part.repeat(nodes)
-        spots = (width[part, None] * _FIT_SPOTS).ravel()
-        terms = _level_gaps(levels, left[b], spots, out=buf[: b.size])
-        np.divide(width[b, None], terms, out=terms)
-        # Zero each row's window, a run of lo..hi in the flattened rows.
-        count = hi[b] - lo[b]
-        first = np.arange(b.size) * size + lo[b] - (np.cumsum(count) - count)
-        terms.ravel()[np.arange(count.sum()) + np.repeat(first, count)] = 0.0
-        terms *= weights
-        cuts = np.empty((b.size, 2), dtype=np.intp)
-        cuts[:, 0] = np.arange(b.size) * size
-        cuts[:, 1] = cuts[:, 0] + right[b]
-        samples = np.empty((b.size, 3))
-        samples[:, 0] = np.add.reduceat(terms.ravel(), cuts[:, 0])
-        # weights_j * r_j**2 in place, as (weights_j * r_j)**2 / weights_j.
-        np.square(terms, out=terms)
-        terms /= weights
-        samples[:, 1:] = np.add.reduceat(terms.ravel(), cuts.ravel()).reshape(-1, 2)
-        # Each coefficient sums its bracket's samples in node order.  The
-        # mean, the first coefficient, is taken out of the samples the
-        # others are formed from: it does not change them, and each is then
-        # rounded relative to the samples' spread, not to their size.
-        samples = samples.reshape(part.size, nodes, 3).transpose(1, 2, 0)
-        series = np.zeros((3, part.size, nodes))
-        series[..., 0] = mean = samples.mean(axis=0)
-        samples = samples - mean
-        for node in range(nodes):
-            series[..., 1:] += samples[node, ..., None] * _FIT_COSINES[1:, node]
-        coef[:, part] = series
+    per = round(math.sqrt(size)) if size >= _LEAF_MIN else size
+    first = np.arange(0, size - 1, per)
+    last = np.minimum(first + per, size - 1)
+    span = levels[last] - levels[first]
+    near_lo, near_hi = _fit_windows(levels, first, last, span)
+    np.minimum(near_lo, np.minimum.reduceat(lo, first), out=near_lo)
+    np.maximum(near_hi, np.maximum.reduceat(hi, first), out=near_hi)
+    far = np.flatnonzero((near_lo > 0) | (near_hi < size))
+    leaf = np.zeros((3, first.size, _LEAF_DEGREE + 1))
+    step = max(1, RANK_ONE_BLOCK // ((_LEAF_DEGREE + 1) * size))
+    for part in (far[start:start + step] for start in range(0, far.size, step)):
+        leaf[:, part] = _far_samples(levels, weights, first[part], span[part], near_lo[part],
+                                     near_hi[part], _LEAF_NODES[0])
+    leaf = _chebyshev_series(leaf, _LEAF_NODES[1])
+    # coef first holds each bracket's samples, then their series.
+    spots, cosines = _FIT_NODES
+    coef = np.empty((3, size - 1, spots.size))
+    for i, at in enumerate(map(slice, near_lo, near_hi)):
+        step = max(1, RANK_ONE_BLOCK // (spots.size * max(at.stop - at.start, _LEAF_DEGREE + 1)))
+        for start in range(first[i], last[i], step):
+            part = np.arange(start, min(start + step, last[i]))
+            coef[:, part] = _far_samples(levels[at], weights[at], part - at.start, width[part],
+                                         lo[part] - at.start, hi[part] - at.start, spots)
+            if at.start or at.stop < size:
+                x = (levels[part] - levels[first[i]])[:, None] + width[part, None] * spots
+                fitted = _far_sums(leaf, [i], x.ravel() / span[i])
+                ratio = width[part, None] / span[i]
+                coef[:, part] += np.reshape(fitted, (3, *x.shape)) * [ratio, ratio**2, ratio**2]
+    step = max(1, RANK_ONE_BLOCK // (3 * spots.size))
+    for start in range(0, size - 1, step):
+        coef[:, start:start + step] = _chebyshev_series(coef[:, start:start + step], cosines)
     return FarPoleFit(lo, hi, coef)
+
+
+def _far_samples(levels, weights, base, scale, lo, hi, spots) -> np.ndarray:
+    """Sums of weights_j * t_j, t_j = scale_r / (levels_j - x), over the
+    poles j outside levels[lo_r:hi_r] at the nodes x = levels[base_r] +
+    scale_r * spots of each interval r, and of weights_j * t_j**2 left and
+    right of them; shape (3, intervals, nodes)."""
+    size, nodes = levels.size, spots.size
+    terms = _level_gaps(levels, base.repeat(nodes), np.outer(scale, spots).ravel())
+    np.divide(scale.repeat(nodes)[:, None], terms, out=terms)
+    terms = terms.reshape(base.size, nodes, size)
+    column = np.arange(size)
+    sides = np.zeros((base.size, size, 2))
+    np.copyto(sides[..., 0], weights, where=column < lo[:, None])
+    np.copyto(sides[..., 1], weights, where=column >= hi[:, None])
+    # Zeroed, as a pole at a node makes its term infinite.
+    np.copyto(terms, 0.0, where=((column >= lo[:, None]) & (column < hi[:, None]))[:, None])
+    # One product per interval, so no sum depends on how many are formed.
+    f = np.matmul(terms, sides).sum(axis=-1)
+    np.square(terms, out=terms)
+    return np.concatenate([f[None], np.matmul(terms, sides).transpose(2, 0, 1)])
+
+
+def _chebyshev_series(samples, cosines) -> np.ndarray:
+    """The series of the samples at the Chebyshev nodes, the last axis."""
+    # Each coefficient but the mean sums the samples less their mean in node
+    # order, and is rounded relative to their spread, not to their size.
+    samples = samples.transpose(2, 0, 1).copy()
+    series = np.zeros(samples.shape)
+    series[0] = mean = samples.mean(axis=0)
+    samples -= mean
+    for node, values in enumerate(samples):
+        series[1:] += cosines[1:, node, None, None] * values
+    return series.transpose(1, 2, 0)
+
+
+def _chebyshev(degree) -> tuple[np.ndarray, np.ndarray]:
+    """A Chebyshev series' nodes as fractions of its interval and the cosine
+    matrix from values there to coefficients, by math.cos: np.cos at import
+    raised the resident memory after `import moqa` by about 0.25 MB."""
+    angles = [(j + 0.5) * (math.pi / (degree + 1)) for j in range(degree + 1)]
+    cosines = np.array([[math.cos(m * a) for a in angles] for m in range(degree + 1)])
+    cosines *= 2.0 / (degree + 1)
+    cosines[0] *= 0.5
+    return np.array([0.5 * (1.0 + math.cos(a)) for a in angles]), cosines
+
+
+_FIT_NODES, _LEAF_NODES = _chebyshev(FIT_DEGREE), _chebyshev(_LEAF_DEGREE)
 
 
 def _fit_windows(levels, left, right, reach) -> tuple[np.ndarray, np.ndarray]:
@@ -639,16 +678,17 @@ def _fitted_sums(fit, window, width, near_left, offset):
 
 
 def _far_sums(coef, at, x):
-    """The series coef[at] at x, the place of each root in its bracket as a
-    fraction of the bracket."""
-    # T_0 .. T_FIT_DEGREE at x mapped to [-1, 1], each run of them by
+    """The series coef[at], one per x or one for all, at x, the place of each
+    root in its bracket (or leaf) as a fraction of it."""
+    # T_0 .. T_degree at x mapped to [-1, 1], each run of them by
     # T_(n + j) = 2 T_n T_j - T_(n - j).
-    basis = np.empty((FIT_DEGREE + 1, x.size))
+    degree = coef.shape[-1] - 1
+    basis = np.empty((degree + 1, x.size))
     basis[0] = 1.0
     basis[1] = 2.0 * x - 1.0
     n = 1
-    while n < FIT_DEGREE:
-        top = min(2 * n, FIT_DEGREE)
+    while n < degree:
+        top = min(2 * n, degree)
         np.multiply(basis[1 : top - n + 1], 2.0 * basis[n], out=basis[n + 1 : top + 1])
         basis[n + 1 : top + 1] -= basis[2 * n - top : n][::-1]
         n = top

@@ -869,13 +869,32 @@ def test_fitted_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
         assert np.all(np.abs(guessed - values) <= 1e-14 * norm), name
 
 
-@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def _leaf_cases():
+    """Tables whose fit builds take several leaves of brackets, and the
+    smallest tables."""
+    rng = np.random.default_rng(9)
+    yield pytest.param(np.sort(rng.uniform(0.0, 1.0, 512)), np.full(512, 1 / 512), id="uniform_512")
+    # A leaf spans the gap, and its near zone holds both clusters.
+    levels = np.sort(np.r_[rng.uniform(0.0, 1.0, 256), 1e6 + rng.uniform(0.0, 1.0, 256)])
+    weights = rng.integers(1, 6, 512).astype(float)
+    yield pytest.param(levels, weights / weights.sum(), id="clusters_512")
+    size = next(
+        size for size in range(256, 1024)
+        if (size - 1) % round(math.sqrt(size)) == 1
+    )
+    levels = np.sort(rng.uniform(0.0, 1.0, size))
+    yield pytest.param(levels, np.full(size, 1 / size), id="last_leaf_of_one")
+    for size in (2, 3):
+        yield pytest.param(np.arange(size) ** 2.0, np.full(size, 1 / size), id=f"{size}_levels")
+
+
+@pytest.mark.parametrize("levels, weights", [*_kernel_cases(), *_leaf_cases()])
 def test_far_pole_fit_matches_the_direct_sums(levels, weights):
     # At points across every bracket, measured from either pole, the fitted
     # sum and its two slopes match exact sums of the float terms within
-    # 8 eps of the sum of their magnitudes.  Measured: at most 2.5 eps for
-    # the sum and 4.4 eps for the slopes (wide_weights); the direct sums
-    # read at most 2.5 eps.
+    # 8 eps of the sum of their magnitudes.  Measured: at most 2.6 eps for
+    # the sum (uniform_512) and 5.6 eps for the slopes (wide_weights); the
+    # direct sums read at most 2.5 eps.
     eps = np.finfo(np.float64).eps
     size, z = levels.size, np.sqrt(weights)
     fit = spectral.far_pole_fit(levels, weights)
@@ -900,7 +919,7 @@ def test_far_pole_fit_matches_the_direct_sums(levels, weights):
 
 @pytest.mark.parametrize("levels, weights", [
     case for case in _kernel_cases() if case.id in ("unit", "decades", "wide_weights")
-])
+] + [*_leaf_cases()])
 def test_far_pole_fit_bits_do_not_depend_on_the_block_size(monkeypatch, levels, weights):
     whole = spectral.far_pole_fit(levels, weights)
     for block in (1, 7 * levels.size, 1 << 10):
@@ -970,7 +989,8 @@ def _bundled_levels():
 
 # With every root step summing all K poles, the worst error of these roots
 # read 3.18e-16 on the bundled table and 6.19e-16 on the uniform n = 10
-# table; with the fits, 3.42e-16 and 5.11e-16.  The fits may cost at most
+# table; with the fits, 3.42e-16 and 9.43e-16 (5.11e-16 with fits that
+# sampled every pole at every bracket's nodes).  The fits may cost at most
 # a factor of 4.
 @pytest.mark.parametrize("table, direct_worst", [
     pytest.param(_bundled_levels, 3.18e-16, id="bundled"),
@@ -993,3 +1013,54 @@ def test_fitted_roots_match_a_60_digit_solve(table, direct_worst):
         root = at + decimal.Decimal(float(offset[row]))
         worst = max(worst, float(abs(root - ref) / abs(ref - at)))
     assert worst <= 4 * direct_worst
+
+
+def test_far_pole_fit_build_forms_subquadratic_terms(monkeypatch):
+    # Every sample term of the build is one level gap formed by _level_gaps.
+    # A build that samples all K poles at the 16 nodes of every bracket forms
+    # 16 K (K - 1); the leaves of brackets must cut that by 8 or more.
+    levels = np.sort(np.random.default_rng(12).uniform(0.0, 600.0, 4096))
+    gaps, terms = spectral._level_gaps, []
+
+    def counted(levels, pole, offset, out=None):
+        terms.append(pole.size * levels.size)
+        return gaps(levels, pole, offset, out)
+
+    monkeypatch.setattr(spectral, "_level_gaps", counted)
+    spectral.far_pole_fit(levels, np.full(levels.size, 1 / levels.size))
+    assert 0 < sum(terms) <= 16 * levels.size * (levels.size - 1) / 8
+
+
+@pytest.mark.parametrize("table, fitted", [
+    pytest.param(_uniform_levels, True, id="uniform_n10"),
+    pytest.param(_bundled_levels, False, id="bundled"),
+])
+def test_four_slices_take_the_fit_by_level_count(monkeypatch, table, fitted):
+    # A 4-slice schedule, as the n = 10 benchmark evolves: at K = 1024 only
+    # root 0 takes the O(K) direct sums, at K = 128 no fit is built.
+    levels, weights = table()
+    s = (np.arange(4) + 0.5) / 4
+    couplings = (1.0 - s) * 8.0 / s
+    block, direct, blocks, direct_rows = spectral._secular_block, spectral._direct_sums, [], []
+
+    def recorded(levels, z, total, k, g, start_at, fit):
+        blocks.append((k.copy(), fit))
+        return block(levels, z, total, k, g, start_at, fit)
+
+    def counted(levels, z, right, pole, offset, buf):
+        direct_rows.append(pole.size)
+        return direct(levels, z, right, pole, offset, buf)
+
+    monkeypatch.setattr(spectral, "_secular_block", recorded)
+    monkeypatch.setattr(spectral, "_direct_sums", counted)
+    for _ in spectral._slice_roots(levels, weights, couplings, spectral.RANK_ONE_BLOCK // levels.size):
+        pass
+    fitted_rows = sum(k.size for k, fit in blocks if fit is not None)
+    if not fitted:
+        assert fitted_rows == 0
+        return
+    assert all(np.all(k == 0) for k, fit in blocks if fit is None)
+    assert all(np.all(k > 0) for k, fit in blocks if fit is not None)
+    assert fitted_rows == 4 * (levels.size - 1)
+    # Root 0's 4 rows take a few direct steps each.
+    assert sum(direct_rows) <= 8 * 4
