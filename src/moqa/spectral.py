@@ -229,6 +229,7 @@ def rank_one_eigh(
         ratio *= np.reciprocal(far)[:, None]
         ratio[0] *= zhat2
         zhat2 = np.prod(ratio, axis=0)
+        del ratio, far  # before the next block's are formed, not after
     # Root 0 was paired with g + levels - levels[0] instead of g.
     zhat = np.sqrt(np.abs(zhat2) * (1.0 + (levels - levels[0]) / couplings[:, None]))
     if not (np.all(np.isfinite(levels[pole] + offset)) and np.all(np.isfinite(zhat))):
@@ -294,8 +295,7 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     shorter schedule takes stride 1 and solves every slice from the
     midpoints, as its anchors would lie too far apart to give good starts.
     Every root step uses one far_pole_fit once the slices times K^1.5 reach
-    FIT_MIN_WORK; a smaller schedule sums all K poles at every step, as a
-    fit would cost more than it saves.
+    FIT_MIN_WORK, and sums all K poles in a smaller schedule.
     The parts hold RANK_ONE_BLOCK / K slices rounded up to a whole stride:
     up to ANCHOR - 1 more, so ANCHOR at stride ANCHOR past RANK_ONE_BLOCK /
     ANCHOR levels.  Each part solves its anchors and the next part's first
@@ -397,6 +397,8 @@ def _slice_roots(levels, weights, couplings, block):
         solved = zip(*cold)
         if warm.size:
             warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T), fit))
+        if start + block >= steps:
+            del fit  # solved: freed before the slices' vectors are formed
         for is_anchor in at_anchor:
             yield next(solved) if is_anchor else next(warmed)
 
@@ -503,9 +505,8 @@ def far_pole_fit(levels, weights) -> FarPoleFit:
     term.  Each distance is a level difference less a node's offset from
     the left pole of its bracket or leaf, rounded as _level_gaps rounds
     them, and each term is scaled by that width.  The build costs O(K^1.5)
-    on evenly spread levels, O(K^2) at worst; no bit of it depends on
-    RANK_ONE_BLOCK, and its temporaries stay within that or a leaf's nodes
-    times K.
+    on evenly spread levels, O(K^2) at worst; no bit depends on
+    RANK_ONE_BLOCK, nor does a temporary exceed it or a leaf's nodes times K.
     """
     size = levels.size
     right = np.arange(1, size)
@@ -581,9 +582,8 @@ def _chebyshev_series(samples, cosines) -> np.ndarray:
 
 
 def _chebyshev(degree) -> tuple[np.ndarray, np.ndarray]:
-    """A Chebyshev series' nodes as fractions of its interval and the cosine
-    matrix from values there to coefficients, by math.cos: np.cos at import
-    raised the resident memory after `import moqa` by about 0.25 MB."""
+    """A Chebyshev series' nodes as fractions of its interval and the cosine matrix
+    from values there to coefficients, by math.cos: np.cos at import costs 0.25 MB."""
     angles = [(j + 0.5) * (math.pi / (degree + 1)) for j in range(degree + 1)]
     cosines = np.array([[math.cos(m * a) for a in angles] for m in range(degree + 1)])
     cosines *= 2.0 / (degree + 1)
