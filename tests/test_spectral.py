@@ -878,6 +878,8 @@ def _leaf_cases():
     levels = np.sort(np.r_[rng.uniform(0.0, 1.0, 256), 1e6 + rng.uniform(0.0, 1.0, 256)])
     weights = rng.integers(1, 6, 512).astype(float)
     yield pytest.param(levels, weights / weights.sum(), id="clusters_512")
+    # far_pole_fit's leaves hold round(sqrt(K)) brackets; here the last one
+    # holds one.
     size = next(
         size for size in range(256, 1024)
         if (size - 1) % round(math.sqrt(size)) == 1
