@@ -7,22 +7,10 @@ applies the exact matrix exponential of the Hamiltonian frozen at the
 slice midpoint.  Every slice is unitary by construction, so norm drift
 stays at machine-precision level and is tracked, not corrected.
 
-With the default driver, spectral.rank_one_evolve runs the schedule
-exactly in the K-dimensional basis of the level sets of the problem
-diagonal, K <= N being the number of its distinct values: a slice costs
-O(K^2), a few root steps per eigenvalue and O(K) per weight, plus two
-products with eigenvectors formed a block of rows at a time, so memory
-grows with K and no N x N matrix is formed.  Every root step, weight and
-eigenvector starts from gaps from the levels to the roots, each level
-difference rounded once and each offset subtracted in a separate pass
-(see spectral).  Only every stride-th slice and the last start their
-roots at the bracket midpoints; the slices between start from those
-roots, interpolated, and take fewer steps.  The stride is spectral.ANCHOR
-with spectral.WARM_MIN_STEPS slices or more, and 1 with fewer.  A
-schedule whose slices times K^1.5 reach spectral.FIT_MIN_WORK builds one
-spectral.far_pole_fit, in O(K^1.5) on evenly spread levels, and a root
-step of every root but the lowest then costs O(window + FIT_DEGREE); a
-smaller schedule sums all K levels at each step.
+With the default driver, rank_one_evolve runs the schedule exactly in the
+K-dimensional basis of the level sets of the problem diagonal, K <= N
+being the number of its distinct values, so that no N x N matrix is
+formed; moqa.rank_one describes its roots, warm starts and costs.
 Other driver penalties take one dense interpolation and one full
 eigendecomposition, O(N^3), per slice.
 """
@@ -44,7 +32,8 @@ from .hamiltonians import (
     interpolation_dense,
 )
 from .instance_io import csv_text, write_text_atomic
-from .spectral import DEGENERACY_TOL, degeneracy_check, rank_one_evolve
+from .rank_one import rank_one_evolve
+from .spectral import DEGENERACY_TOL, degeneracy_check
 
 DEFAULT_STEPS = 4096
 NORM_TOL = 1e-6

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InstanceFormatError
+from .errors import ConfigurationError, InstanceFormatError
 from .mco import McoInstance
 
 # Characters of a table parsed in one slice by _parse_table.
@@ -35,11 +35,18 @@ def csv_text(header: str, *columns) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename.
+    """Write text to path via a temp file next to it and a rename.
 
-    The temp file gets mode 0o666 less the umask, as open() would give it.
+    A symlink's target is replaced, not the link.  An existing target that
+    is not a regular file, such as a FIFO or a device, is written in place,
+    as renaming over it would replace it.  The temp file gets mode 0o666
+    less the umask, as open() would give it.
     """
-    path = Path(path)
+    path = Path(path).resolve()
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -243,8 +250,15 @@ def _holds_bool(value) -> bool:
 
 
 def write_instance(inst: McoInstance, csv_path) -> None:
-    """Write an instance table and its JSON sidecar, each atomically."""
+    """Write an instance table and its JSON sidecar, each atomically.
+
+    Raises:
+        ConfigurationError: Before any write, when csv_path is its own
+            sidecar path, as a .json path is.
+    """
     csv_path = Path(csv_path)
+    if sidecar_path(csv_path) == csv_path:
+        raise ConfigurationError(f"{csv_path}: a table path must not be its sidecar's path")
     header = ",".join(["x"] + [f"f{i+1}" for i in range(inst.d)])
     write_text_atomic(csv_path, csv_text(header, np.arange(inst.size), *inst.values.T))
     info = {

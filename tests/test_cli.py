@@ -15,6 +15,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -297,6 +298,54 @@ def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     assert main(["front", str(tmp_path / "t.csv"), "--output", str(tmp_path / "o.json")]) == EXIT_IO
     assert capsys.readouterr().err == "error: rename refused\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_symlinked_output_replaces_its_target_and_keeps_the_link(tmp_path):
+    # The temp file goes next to the link's target, in another directory
+    # here, and the rename replaces the target, so the link stays a link.
+    table, plain = tmp_path / "t.csv", tmp_path / "plain.json"
+    table.write_text(TWO_ROWS)
+    (tmp_path / "data").mkdir()
+    target, link = tmp_path / "data" / "real.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["front", str(table), "--output", str(link)]) == EXIT_OK
+    assert main(["front", str(table), "--output", str(plain)]) == EXIT_OK
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data", "link.json", "plain.json",
+                                                                "t.csv"]
+    assert [path.name for path in target.parent.iterdir()] == ["real.json"]
+
+
+def test_fifo_output_is_written_in_place(tmp_path):
+    # A rename over the FIFO would replace it, and its reader would get no
+    # bytes.  The test holds the FIFO open for reading and writing, so no
+    # open of it waits and the reader sees end of file only once that end
+    # is closed, after the command has run.
+    table, plain, fifo = tmp_path / "t.csv", tmp_path / "plain.json", tmp_path / "fifo.json"
+    table.write_text(TWO_ROWS)
+    os.mkfifo(fifo)
+    holder = os.open(fifo, os.O_RDWR)
+    opened, read = threading.Event(), []
+
+    def reader():
+        with open(fifo, "rb") as fh:
+            opened.set()
+            read.append(fh.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    try:
+        assert opened.wait(30)
+        code = main(["front", str(table), "--output", str(fifo)])
+    finally:
+        os.close(holder)
+        thread.join(30)
+    assert code == EXIT_OK
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert main(["front", str(table), "--output", str(plain)]) == EXIT_OK
+    assert read == [plain.read_bytes()]
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +866,15 @@ def test_bench_export_round_trip(tmp_path):
     sidecar = json.loads((tmp_path / "table.json").read_text())
     assert sidecar["label_offset"] == 1
     assert sidecar["lambda"] == [0.2, 0.4]
+
+
+def test_bench_export_refuses_a_table_path_that_is_its_own_sidecar(tmp_path, capsys):
+    # table.json's sidecar path is table.json, so the sidecar would replace
+    # the table; nothing is written.
+    out = tmp_path / "table.json"
+    assert main(["bench", "export", "--output", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("shots", [0, 1, 1000])

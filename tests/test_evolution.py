@@ -28,7 +28,7 @@ from moqa import (
     measure,
     write_histogram_csv,
 )
-from moqa import evolution, spectral
+from moqa import evolution, rank_one
 from moqa.evolution import HISTOGRAM_CSV_HEADER
 
 from conftest import dense_driver, dense_path, make_instance, random_instance
@@ -138,10 +138,10 @@ def refuse_slices(monkeypatch):
     def slice_ran(*args):
         raise AssertionError("a schedule slice ran")
 
-    # The default driver runs its slices through spectral.rank_one_eigh, any
+    # The default driver runs its slices through rank_one.rank_one_eigh, any
     # other driver through interpolation_dense.
     monkeypatch.setattr(evolution, "interpolation_dense", slice_ran)
-    monkeypatch.setattr(spectral, "rank_one_eigh", slice_ran)
+    monkeypatch.setattr(rank_one, "rank_one_eigh", slice_ran)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, True, "1e-9"])
@@ -256,15 +256,15 @@ def test_warm_started_schedule_matches_dense_path(monkeypatch, tied, steps):
     # 76 slices start warm from anchors at 0, 8, ..., 72 and 75, so the
     # last stretch between anchors is shorter than the others; 4 slices
     # are all solved from the bracket midpoints, in one call.
-    warm = steps >= spectral.WARM_MIN_STEPS
+    warm = steps >= rank_one.WARM_MIN_STEPS
     assert warm == (steps == 76)
-    guessed, kernel = [], spectral.rank_one_eigh
+    guessed, kernel = [], rank_one.rank_one_eigh
 
     def spy(levels, weights, couplings, guess=None, fit=None):
         guessed.append(guess is not None)
         return kernel(levels, weights, couplings, guess, fit)
 
-    monkeypatch.setattr(spectral, "rank_one_eigh", spy)
+    monkeypatch.setattr(rank_one, "rank_one_eigh", spy)
     diag = np.random.default_rng(11).uniform(0.0, 9.0, 32)
     if tied:
         diag[np.argsort(diag)[1]] = diag.min()

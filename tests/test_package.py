@@ -43,3 +43,23 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.TARGETS and missing == []
+
+
+def test_spectral_binds_no_moved_solver_name():
+    # The rank-one solver lives in moqa.rank_one, and spectral imports only
+    # secular_roots from it.  A moved name still bound in spectral would let
+    # a test's monkeypatch.setattr(spectral, ...) patch a name that the
+    # solver never looks up, instead of raising.
+    from moqa import rank_one, spectral
+
+    moved = [
+        "_secular_block", "_quadratic_roots", "_direct_sums", "_windows", "_fitted_sums",
+        "_far_sums", "FarPoleFit", "far_pole_fit", "_far_samples", "_chebyshev_series",
+        "_chebyshev", "_fit_windows", "_FIT_NODES", "_LEAF_NODES", "rank_one_eigh",
+        "rank_one_vectors", "_level_gaps", "_slice_roots", "rank_one_evolve",
+        "RANK_ONE_STEP_TOL", "RANK_ONE_MAX_STEPS", "RANK_ONE_BLOCK", "FIT_REACH", "FIT_DEGREE",
+        "FIT_MIN_WORK", "_LEAF_MIN", "_LEAF_DEGREE", "ANCHOR", "WARM_MIN_STEPS",
+    ]
+    assert [name for name in moved if not hasattr(rank_one, name)] == []
+    assert [name for name in moved if hasattr(spectral, name)] == []
+    assert spectral.secular_roots is rank_one.secular_roots

@@ -37,7 +37,7 @@ from moqa import (
     smallest_two,
     uniform_grid,
 )
-from moqa import evolution, hamiltonians, spectral
+from moqa import evolution, hamiltonians, rank_one, spectral
 from moqa.cli import EXIT_NUMERICAL, main
 from moqa.spectral import GAP_CSV_HEADER, RESIDUAL_REL_TOL
 
@@ -395,7 +395,7 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
 
     for owner, name in [(scipy.linalg, "eigh"), (np.linalg, "eigvalsh"),
                         (np.linalg, "norm"), (np, "unique"), (np, "std"),
-                        (spectral, "interpolation_dense"), (spectral, "rank_one_eigh"),
+                        (spectral, "interpolation_dense"), (rank_one, "rank_one_eigh"),
                         (evolution, "interpolation_dense"),
                         (hamiltonians.InitialHamiltonian, "dense")]:
         monkeypatch.setattr(owner, name, refuse)
@@ -411,8 +411,8 @@ def test_dimension_mismatch_raises_before_any_work(monkeypatch, default, call):
 def _eigenpairs(levels, weights, couplings, guess=None, fit=None):
     """Eigenvalues per problem, and each problem's vectors as columns."""
     levels = np.asarray(levels, dtype=np.float64)
-    pole, offset, zhat = spectral.rank_one_eigh(levels, weights, couplings, guess, fit)
-    vectors = [spectral.rank_one_vectors(levels, *row).T for row in zip(zhat, pole, offset)]
+    pole, offset, zhat = rank_one.rank_one_eigh(levels, weights, couplings, guess, fit)
+    vectors = [rank_one.rank_one_vectors(levels, *row).T for row in zip(zhat, pole, offset)]
     return levels[pole] + offset, np.array(vectors)
 
 
@@ -485,7 +485,7 @@ def _starts(levels, pole, offset):
 def test_guessed_rank_one_eigh_matches_cold(levels, weights):
     # Guesses on the root, at either end of the bracket, from the far pole
     # and outside the bracket all reach the cold solve's accuracy.
-    cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    cold = rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
     cold_values = levels[cold[0]] + cold[1]
     for name, guess in _starts(levels, *cold[:2]).items():
         values, vectors = _eigenpairs(levels, weights, KERNEL_COUPLINGS, guess)
@@ -496,14 +496,14 @@ def test_guessed_rank_one_eigh_matches_cold(levels, weights):
 
 def test_guess_in_root_major_layout_receives_the_roots():
     (levels, weights), = [case.values for case in _kernel_cases() if case.id == "unit"]
-    cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    cold = rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
     pole, offset = (part.T.copy() for part in cold[:2])
     offset *= 0.5
-    warm = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, (pole.T, offset.T))
+    warm = rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, (pole.T, offset.T))
     assert np.shares_memory(warm[0], pole) and np.shares_memory(warm[1], offset)
     assert np.max(np.abs(warm[1] - cold[1]) / np.abs(cold[1])) <= 1e-14
     # A solve without a guess is the cold one, bit for bit.
-    again = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    again = rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
     assert all(new.tobytes() == old.tobytes() for new, old in zip(again, cold))
 
 
@@ -515,14 +515,14 @@ def test_warm_starts_follow_the_anchor_rule(monkeypatch):
     weights, steps = counts / 128.0, 100
     s = (np.arange(steps) + 0.5) / steps
     couplings = (1.0 - s) * 8.0 / s
-    kernel, calls = spectral.rank_one_eigh, []
+    kernel, calls = rank_one.rank_one_eigh, []
 
     def recorded(levels, weights, couplings, guess=None, fit=None):
         calls.append((couplings, None if guess is None else [part.copy() for part in guess]))
         return kernel(levels, weights, couplings, guess, fit)
 
-    monkeypatch.setattr(spectral, "rank_one_eigh", recorded)
-    out = list(spectral._slice_roots(levels, weights, couplings, steps))
+    monkeypatch.setattr(rank_one, "rank_one_eigh", recorded)
+    out = list(rank_one._slice_roots(levels, weights, couplings, steps))
     (anchors, cold_guess), (warm, guess) = calls
     assert cold_guess is None
     assert anchors.tolist() == couplings[[*range(0, steps, 8), steps - 1]].tolist()
@@ -549,7 +549,7 @@ def test_slice_roots_do_not_depend_on_the_part_size(steps):
     couplings = (1.0 - s) * 8.0 / s
 
     def roots(block):
-        out = spectral._slice_roots(levels, counts / 128.0, couplings, block)
+        out = rank_one._slice_roots(levels, counts / 128.0, couplings, block)
         return [b"".join(part.tobytes() for part in row) for row in out]
 
     whole = roots(steps)
@@ -567,7 +567,7 @@ def test_warm_starts_cut_root_steps_on_the_bundled_schedule(monkeypatch):
     )
     s = (np.arange(512) + 0.5) / 512
     couplings = (1.0 - s) * 8.0 / s
-    quadratic, block, blocks = spectral._quadratic_roots, spectral._secular_block, []
+    quadratic, block, blocks = rank_one._quadratic_roots, rank_one._secular_block, []
 
     def counted(*args):
         blocks[-1].append(args[0].size)
@@ -577,27 +577,27 @@ def test_warm_starts_cut_root_steps_on_the_bundled_schedule(monkeypatch):
         blocks.append([])
         return block(*args)
 
-    monkeypatch.setattr(spectral, "_quadratic_roots", counted)
-    monkeypatch.setattr(spectral, "_secular_block", blocked)
+    monkeypatch.setattr(rank_one, "_quadratic_roots", counted)
+    monkeypatch.setattr(rank_one, "_secular_block", blocked)
 
     def per_root():
         blocks.clear()
-        for _ in spectral._slice_roots(levels, counts / 128.0, couplings, 512):
+        for _ in rank_one._slice_roots(levels, counts / 128.0, couplings, 512):
             pass
         mean = sum(map(sum, blocks)) / 2 / (512 * levels.size)
         return mean, max(map(len, blocks)) // 2
 
     warm, most = per_root()
-    monkeypatch.setattr(spectral, "WARM_MIN_STEPS", 513)
+    monkeypatch.setattr(rank_one, "WARM_MIN_STEPS", 513)
     cold, _ = per_root()
     assert cold > 4.0
     assert warm <= 2.5 and most <= 6
 
 
-def _broadcast_gaps(levels, pole, offset, out=None):
+def _broadcast_gaps(levels, pole, offset):
     """(levels_j - levels[pole_r]) - offset_r by two broadcast passes, as
     the kernels formed it before the k = 2 matrix product: the oracle."""
-    gaps = np.subtract(levels, levels[pole, None], out=out)
+    gaps = np.subtract(levels, levels[pole, None])
     gaps -= offset[:, None]
     return gaps
 
@@ -623,14 +623,14 @@ def test_level_gaps_match_the_broadcast_passes_bit_for_bit(monkeypatch, levels):
     left, right = np.maximum(k - 1, 0), np.maximum(k, 1)
 
     def results():
-        pole, offset = spectral.secular_roots(levels, weights, k, g)
+        pole, offset = rank_one.secular_roots(levels, weights, k, g)
         far = np.where((pole == left) & (k > 0), right, left)
         guesses = [(pole.copy(), 0.5 * offset), (far, (levels[pole] - levels[far]) + offset)]
         out = [pole, offset]
         for guess in guesses:
-            out += spectral.secular_roots(levels, weights, k, g, guess)
+            out += rank_one.secular_roots(levels, weights, k, g, guess)
         try:
-            eigh = spectral.rank_one_eigh(levels, weights, couplings)
+            eigh = rank_one.rank_one_eigh(levels, weights, couplings)
         except NumericalRangeError as error:
             # Levels closer than the smallest normal float have no weights.
             out.append(str(error))
@@ -639,25 +639,23 @@ def test_level_gaps_match_the_broadcast_passes_bit_for_bit(monkeypatch, levels):
             out += eigh
             zhat = eigh[2][2]
         with np.errstate(all="ignore"):
-            out.append(spectral.rank_one_vectors(levels, zhat, pole[2::4], offset[2::4]))
+            out.append(rank_one.rank_one_vectors(levels, zhat, pole[2::4], offset[2::4]))
         return [x if isinstance(x, str) else x.tobytes() for x in out]
 
     rng = np.random.default_rng(0)
     pole = rng.integers(0, levels.size, 64)
     offset = rng.uniform(-2.0, 2.0, 64) * np.abs(levels[pole] - levels[pole - 1])
-    buffer = np.empty((64, levels.size))
-    gaps = spectral._level_gaps(levels, pole, offset, out=buffer)
-    assert gaps is buffer
+    gaps = rank_one._level_gaps(levels, pole, offset)
     assert gaps.tobytes() == _broadcast_gaps(levels, pole, offset).tobytes()
     new = results()
-    monkeypatch.setattr(spectral, "_level_gaps", _broadcast_gaps)
+    monkeypatch.setattr(rank_one, "_level_gaps", _broadcast_gaps)
     assert new == results()
 
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_rank_one_eigh_without_problems_returns_empty_results(size):
     levels = np.arange(1.0, size + 1.0)
-    results = spectral.rank_one_eigh(levels, np.full(size, 1.0 / size), np.array([]))
+    results = rank_one.rank_one_eigh(levels, np.full(size, 1.0 / size), np.array([]))
     assert [part.shape for part in results] == [(0, size)] * 3
 
 
@@ -671,20 +669,20 @@ def test_rank_one_eigh_refuses_subnormal_gaps():
     # The reciprocal of a subnormal distance is infinite; rank_one_evolve
     # merges such levels before it calls the kernel.
     with pytest.raises(NumericalRangeError, match="left float range"):
-        spectral.rank_one_eigh([0.0, 5e-324, 1.0], np.full(3, 1.0 / 3.0), [8.0])
+        rank_one.rank_one_eigh([0.0, 5e-324, 1.0], np.full(3, 1.0 / 3.0), [8.0])
 
 
 def test_rank_one_eigh_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(spectral, "RANK_ONE_MAX_STEPS", 2)
+    monkeypatch.setattr(rank_one, "RANK_ONE_MAX_STEPS", 2)
     levels = np.linspace(0.0, 1.0, 16)
     with pytest.raises(NumericalRangeError, match="did not converge") as info:
-        spectral.rank_one_eigh(levels, np.full(16, 1.0 / 16), [8.0])
+        rank_one.rank_one_eigh(levels, np.full(16, 1.0 / 16), [8.0])
     assert info.value.exit_code == 4
 
 
 def test_secular_iteration_cap_fails_gap_scan_and_delta_max(monkeypatch, tmp_path, capsys):
     # A root that has not converged is a numerical failure, never a guess.
-    monkeypatch.setattr(spectral, "RANK_ONE_MAX_STEPS", 2)
+    monkeypatch.setattr(rank_one, "RANK_ONE_MAX_STEPS", 2)
     h0 = build_initial(7)
     hw = build_final(builtin_instance(), Linearization.pair(0.57))
     for call in (lambda: gap_scan(h0, hw, points=16), lambda: delta_max(h0, hw)):
@@ -717,7 +715,7 @@ def test_gap_is_bit_identical_under_an_exact_diagonal_shift(tied):
 
 
 def test_secular_roots_accepts_zero_rows():
-    pole, offset = spectral.secular_roots(
+    pole, offset = rank_one.secular_roots(
         np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([], dtype=np.intp), np.array([])
     )
     assert pole.shape == offset.shape == (0,)
@@ -761,12 +759,12 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
     else:
         run = (h0, unique)
 
-    assert 64 >= spectral.WARM_MIN_STEPS and spectral.ANCHOR == 8
-    kernel = spectral.rank_one_eigh
+    assert 64 >= rank_one.WARM_MIN_STEPS and rank_one.ANCHOR == 8
+    kernel = rank_one.rank_one_eigh
 
     def results():
         curves = [gap_scan(*pair, points=33) for pair in problems]
-        roots = spectral.rank_one_eigh(levels, weights, couplings)
+        roots = rank_one.rank_one_eigh(levels, weights, couplings)
         # Each evolve slice's roots and weights, by its coupling.
         slices = {}
 
@@ -776,13 +774,13 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
                 slices[g] = b"".join(part.tobytes() for part in row)
             return out
 
-        monkeypatch.setattr(spectral, "rank_one_eigh", recorded)
+        monkeypatch.setattr(rank_one, "rank_one_eigh", recorded)
         state = evolve(*run, 20.0, steps=64).final_state
-        monkeypatch.setattr(spectral, "rank_one_eigh", kernel)
+        monkeypatch.setattr(rank_one, "rank_one_eigh", kernel)
         return curves, [delta_max(*pair) for pair in problems], roots, state, slices
 
     curves, dmax, (pole, offset, zhat), state, slices = results()
-    monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
+    monkeypatch.setattr(rank_one, "RANK_ONE_BLOCK", block)
     new_curves, new_dmax, (new_pole, new_offset, new_zhat), new_state, new_slices = results()
     # Anchors start at the bracket midpoints and the other slices start from
     # them, so no slice's roots depend on where the chunks of slices end.
@@ -814,15 +812,15 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
      pytest.param(33, 8, id="33_slices-8")])
 def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, steps, chunk):
     run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
-    kernel, rows = spectral.rank_one_eigh, []
+    kernel, rows = rank_one.rank_one_eigh, []
 
     def counted(levels, weights, couplings, guess=None, fit=None):
         rows.append(len(couplings))
         return kernel(levels, weights, couplings, guess, fit)
 
     state = evolve(*run, 20.0, steps=steps).final_state
-    monkeypatch.setattr(spectral, "rank_one_eigh", counted)
-    monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", chunk * 32)
+    monkeypatch.setattr(rank_one, "rank_one_eigh", counted)
+    monkeypatch.setattr(rank_one, "RANK_ONE_BLOCK", chunk * 32)
     chunked = evolve(*run, 20.0, steps=steps).final_state
     assert sum(rows) == steps
     assert 0 not in rows
@@ -859,10 +857,10 @@ def test_default_driver_matches_dense_oracle_at_extreme_ranges(levels, tied, sca
 @pytest.mark.parametrize("levels, weights", _kernel_cases())
 def test_fitted_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
     # The checks of the two tests above, with every root k > 0 fitted.
-    fit = spectral.far_pole_fit(levels, weights)
+    fit = rank_one.far_pole_fit(levels, weights)
     values, vectors = _eigenpairs(levels, weights, KERNEL_COUPLINGS, fit=fit)
     _assert_dense_eigenpairs(levels, weights, KERNEL_COUPLINGS, values, vectors)
-    cold = spectral.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, None, fit)
+    cold = rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS, None, fit)
     norm = np.max(np.abs(values), axis=1, keepdims=True)
     for name, guess in _starts(levels, *cold[:2]).items():
         guessed, _ = _eigenpairs(levels, weights, KERNEL_COUPLINGS, guess, fit)
@@ -899,16 +897,16 @@ def test_far_pole_fit_matches_the_direct_sums(levels, weights):
     # direct sums read at most 2.5 eps.
     eps = np.finfo(np.float64).eps
     size, z = levels.size, np.sqrt(weights)
-    fit = spectral.far_pole_fit(levels, weights)
+    fit = rank_one.far_pole_fit(levels, weights)
     place = np.array([1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-3])
     k = np.arange(1, size).repeat(place.size)
     width = levels[k] - levels[k - 1]
     from_right = np.tile(place > 0.5, size - 1)
     pole = np.where(from_right, k, k - 1)
     offset = (np.tile(place, size - 1) - from_right) * width
-    window = spectral._windows(levels, z, fit, k)
-    f, left, right, *_, unit = spectral._fitted_sums(fit, window, width, ~from_right, offset)
-    gaps = spectral._level_gaps(levels, pole, offset)
+    window = rank_one._windows(levels, z, fit, k)
+    f, left, right, *_, unit = rank_one._fitted_sums(fit, window, width, ~from_right, offset)
+    gaps = rank_one._level_gaps(levels, pole, offset)
     with np.errstate(divide="ignore", over="ignore"):
         terms = weights / gaps
         slopes = np.square(z * unit[:, None] / gaps)
@@ -923,10 +921,10 @@ def test_far_pole_fit_matches_the_direct_sums(levels, weights):
     case for case in _kernel_cases() if case.id in ("unit", "decades", "wide_weights")
 ] + [*_leaf_cases()])
 def test_far_pole_fit_bits_do_not_depend_on_the_block_size(monkeypatch, levels, weights):
-    whole = spectral.far_pole_fit(levels, weights)
+    whole = rank_one.far_pole_fit(levels, weights)
     for block in (1, 7 * levels.size, 1 << 10):
-        monkeypatch.setattr(spectral, "RANK_ONE_BLOCK", block)
-        part = spectral.far_pole_fit(levels, weights)
+        monkeypatch.setattr(rank_one, "RANK_ONE_BLOCK", block)
+        part = rank_one.far_pole_fit(levels, weights)
         for name in ("lo", "hi", "coef"):
             assert getattr(part, name).tobytes() == getattr(whole, name).tobytes(), (block, name)
 
@@ -939,19 +937,19 @@ def test_only_root_zero_takes_direct_sums_on_the_bundled_schedule(monkeypatch):
     )
     s = (np.arange(512) + 0.5) / 512
     couplings = (1.0 - s) * 8.0 / s
-    block, direct, blocks, direct_rows = spectral._secular_block, spectral._direct_sums, [], []
+    block, direct, blocks, direct_rows = rank_one._secular_block, rank_one._direct_sums, [], []
 
     def recorded(levels, z, total, k, g, start_at, fit):
         blocks.append((k.copy(), fit))
         return block(levels, z, total, k, g, start_at, fit)
 
-    def counted(levels, z, right, pole, offset, buf):
+    def counted(levels, z, right, pole, offset):
         direct_rows.append(pole.size)
-        return direct(levels, z, right, pole, offset, buf)
+        return direct(levels, z, right, pole, offset)
 
-    monkeypatch.setattr(spectral, "_secular_block", recorded)
-    monkeypatch.setattr(spectral, "_direct_sums", counted)
-    for _ in spectral._slice_roots(levels, counts / 128.0, couplings, 512):
+    monkeypatch.setattr(rank_one, "_secular_block", recorded)
+    monkeypatch.setattr(rank_one, "_direct_sums", counted)
+    for _ in rank_one._slice_roots(levels, counts / 128.0, couplings, 512):
         pass
     assert all(np.all(k == 0) for k, fit in blocks if fit is None)
     assert all(np.all(k > 0) for k, fit in blocks if fit is not None)
@@ -1007,8 +1005,8 @@ def test_fitted_roots_match_a_60_digit_solve(table, direct_worst):
     roots = np.unique([0, 1, levels.size - 1, np.argmin(gaps) + 1, np.argmax(gaps) + 1])
     s = np.array([1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6])
     k, g = roots.repeat(s.size), np.tile((1.0 - s) * 8.0 / s, roots.size)
-    fit = spectral.far_pole_fit(levels, weights)
-    pole, offset = spectral.secular_roots(levels, weights, k, g, fit=fit)
+    fit = rank_one.far_pole_fit(levels, weights)
+    pole, offset = rank_one.secular_roots(levels, weights, k, g, fit=fit)
     worst = 0.0
     for row in range(k.size):
         ref, at = _reference_root(levels, weights, g[row], pole[row], offset[row])
@@ -1022,14 +1020,14 @@ def test_far_pole_fit_build_forms_subquadratic_terms(monkeypatch):
     # A build that samples all K poles at the 16 nodes of every bracket forms
     # 16 K (K - 1); the leaves of brackets must cut that by 8 or more.
     levels = np.sort(np.random.default_rng(12).uniform(0.0, 600.0, 4096))
-    gaps, terms = spectral._level_gaps, []
+    gaps, terms = rank_one._level_gaps, []
 
-    def counted(levels, pole, offset, out=None):
+    def counted(levels, pole, offset):
         terms.append(pole.size * levels.size)
-        return gaps(levels, pole, offset, out)
+        return gaps(levels, pole, offset)
 
-    monkeypatch.setattr(spectral, "_level_gaps", counted)
-    spectral.far_pole_fit(levels, np.full(levels.size, 1 / levels.size))
+    monkeypatch.setattr(rank_one, "_level_gaps", counted)
+    rank_one.far_pole_fit(levels, np.full(levels.size, 1 / levels.size))
     assert 0 < sum(terms) <= 16 * levels.size * (levels.size - 1) / 8
 
 
@@ -1043,19 +1041,19 @@ def test_four_slices_take_the_fit_by_level_count(monkeypatch, table, fitted):
     levels, weights = table()
     s = (np.arange(4) + 0.5) / 4
     couplings = (1.0 - s) * 8.0 / s
-    block, direct, blocks, direct_rows = spectral._secular_block, spectral._direct_sums, [], []
+    block, direct, blocks, direct_rows = rank_one._secular_block, rank_one._direct_sums, [], []
 
     def recorded(levels, z, total, k, g, start_at, fit):
         blocks.append((k.copy(), fit))
         return block(levels, z, total, k, g, start_at, fit)
 
-    def counted(levels, z, right, pole, offset, buf):
+    def counted(levels, z, right, pole, offset):
         direct_rows.append(pole.size)
-        return direct(levels, z, right, pole, offset, buf)
+        return direct(levels, z, right, pole, offset)
 
-    monkeypatch.setattr(spectral, "_secular_block", recorded)
-    monkeypatch.setattr(spectral, "_direct_sums", counted)
-    for _ in spectral._slice_roots(levels, weights, couplings, spectral.RANK_ONE_BLOCK // levels.size):
+    monkeypatch.setattr(rank_one, "_secular_block", recorded)
+    monkeypatch.setattr(rank_one, "_direct_sums", counted)
+    for _ in rank_one._slice_roots(levels, weights, couplings, rank_one.RANK_ONE_BLOCK // levels.size):
         pass
     fitted_rows = sum(k.size for k, fit in blocks if fit is not None)
     if not fitted:
