@@ -90,7 +90,7 @@ def read_instance(csv_path) -> McoInstance:
 
     lam, label_offset = None, 0
     meta = sidecar_path(csv_path)
-    if meta.exists():
+    if meta != csv_path and meta.exists():  # a .json table has no sidecar
         try:
             info = json.loads(_read_utf8(meta))
         except json.JSONDecodeError as exc:

@@ -6,15 +6,16 @@ eigenvalues are the roots of a secular equation over the distinct diagonal
 levels (Golub 1973).  secular_roots finds them from the levels and weights
 alone, by a rational iteration inside a kept bracket, without forming a
 matrix; spectral's gap scan and delta_max and rank_one_eigh each call it
-once, and rank_one_vectors forms eigenvectors from its roots a block at a
-time.  rank_one_evolve runs evolve's default-driver schedule on these
-three in the level basis, starting most slices' roots from those of anchor
-slices.  A far_pole_fit, built once per problem in O(K^1.5) on evenly
+once.  rank_one_evolve runs evolve's default-driver schedule on its roots
+and weights in the level basis, starting most slices' roots from those of
+anchor slices, and applies each slice as three Cauchy sums over blocks of
+scaled reciprocals |offset| / (levels_j - root), forming no unit
+eigenvector.  A far_pole_fit, built once per problem in O(K^1.5) on evenly
 spread levels, cuts a step of every root but the lowest from O(K) to
 O(window + FIT_DEGREE); rank_one_evolve builds one once its slices times
 K^1.5 reach FIT_MIN_WORK.
 
-Root steps, weights and eigenvectors all start from the gaps
+Root steps, weights and reciprocals all start from the gaps
 (levels_j - levels[pole]) - offset, each level difference rounded once
 and the offset subtracted in a pass of its own (see _level_gaps).
 """
@@ -121,7 +122,8 @@ def rank_one_eigh(
     for start in range(1, size, step):
         k = np.arange(start, min(start + step, size))
         ratio = _level_gaps(levels, pole[k].ravel(), offset[k].ravel()).reshape(k.size, count, size)
-        far = np.maximum(np.abs(levels - levels[k - 1, None]), np.abs(levels - levels[k, None]))
+        far = levels - levels[k - 1, None]  # level j to the farther of root k's poles
+        np.subtract(levels[k, None], levels, out=far, where=np.arange(size) < k[:, None])
         ratio *= np.reciprocal(far)[:, None]
         ratio[0] *= zhat2
         zhat2 = np.prod(ratio, axis=0)
@@ -138,14 +140,23 @@ def rank_one_eigh(
 
 def rank_one_vectors(levels, zhat, pole, offset) -> np.ndarray:
     """Unit eigenvectors, as rows, of the roots levels[pole] + offset of a
-    rank_one_eigh problem with weights zhat: zhat_j / (levels_j - root)."""
-    vec = _level_gaps(levels, pole, offset)
-    np.divide(zhat, vec, out=vec)
-    # The nearest level is the root's pole, so this scaling keeps every
-    # entry at most max(zhat) and the squares in range.
-    vec *= np.abs(offset[:, None])
-    vec /= np.sqrt(np.einsum("rj,rj->r", vec, vec))[:, None]
-    return vec
+    rank_one_eigh problem with weights zhat, from the _reciprocals."""
+    r, c2 = _reciprocals(levels, zhat * zhat, pole, offset)
+    return np.sqrt(c2)[:, None] * r * zhat
+
+
+def _reciprocals(levels, zhat2, pole, offset) -> tuple[np.ndarray, np.ndarray]:
+    """r_kj = |offset_k| / (levels_j - root_k) per root levels[pole_k] + offset_k
+    and c2 = 1 / (r**2 @ zhat2): unit eigenvector k is sqrt(c2_k) r_k zhat.
+    The pole is the root's nearest level, so |r| <= 1 keeps r**2 in range.
+    The squares go RANK_ONE_BLOCK / 4 elements at a time, so they add at
+    most a quarter block to the temporaries."""
+    r = _level_gaps(levels, pole, offset)
+    np.divide(np.abs(offset)[:, None], r, out=r)
+    step, norm2 = max(1, RANK_ONE_BLOCK // (4 * levels.size)), np.empty(pole.size)
+    for at in range(0, pole.size, step):
+        np.matmul(np.square(r[at:at + step]), zhat2, out=norm2[at:at + step])
+    return r, 1.0 / norm2
 
 
 def _level_gaps(levels, pole, offset) -> np.ndarray:
@@ -175,9 +186,8 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     indicator basis, H(s) = c * I + s * (diag(e) - (c / s) |w><w|) with
     c = (1 - s) * scale, distinct values e_j of multiplicity m_j and
     w_j = sqrt(m_j / N).  rank_one_eigh gives the roots and vector weights
-    of a part of the schedule at a time.  rank_one_vectors forms each
-    slice's eigenvectors in blocks of RANK_ONE_BLOCK / K rows, and the
-    slice applies them a block at a time.
+    of a part of the schedule at a time, and _slice_product applies each
+    slice from them a block of RANK_ONE_BLOCK / K roots at a time.
 
     The anchors, every stride-th slice and the last, are solved once each
     from the bracket midpoints.  Every other slice starts each root from
@@ -187,12 +197,8 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     shorter schedule takes stride 1 and solves every slice from the
     midpoints, as its anchors would lie too far apart to give good starts.
     Every root step uses one far_pole_fit once the slices times K^1.5 reach
-    FIT_MIN_WORK, and sums all K poles in a smaller schedule.  The parts
-    hold RANK_ONE_BLOCK / K slices rounded up to a whole stride: up to
-    ANCHOR - 1 more, so ANCHOR at stride ANCHOR past RANK_ONE_BLOCK / ANCHOR
-    levels.  Each part solves its anchors and the next part's first slice,
-    which it carries there.  An anchor depends only on its coupling, so no
-    root depends on RANK_ONE_BLOCK.
+    FIT_MIN_WORK, and sums all K poles in a smaller schedule.  The slices go
+    in parts of RANK_ONE_BLOCK / K (see _slice_roots), on which no root depends.
 
     Levels closer than the smallest normal float are merged first:
     rank_one_eigh refuses them, as the reciprocals of their distances
@@ -218,20 +224,25 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
     slices = _slice_roots(levels, weights, couplings, block)
     for k, (pole, offset, zhat) in enumerate(slices):
         phases = np.exp(-1j * dt * (coupling[k] + s_mid[k] * (levels[pole] + offset)))
-        # The real eigenvectors act on the real and imaginary parts as the
-        # two columns of one matrix product.
-        state, new = psi.view(np.float64).reshape(-1, 2), np.zeros((levels.size, 2))
-        for rows in range(0, levels.size, block):
-            b = slice(rows, rows + block)
-            vecs = rank_one_vectors(levels, zhat, pole[b], offset[b])
-            amps = phases[b] * (vecs @ state).view(np.complex128).ravel()
-            new += vecs.T @ amps.view(np.float64).reshape(-1, 2)
-        psi = new.view(np.complex128).ravel()
+        psi = _slice_product(levels, zhat, pole, offset, phases, psi, block)
         drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
-        # Freed before the next slice solves its roots and forms its vectors.
-        del vecs
     psi = psi[inverse] / np.sqrt(counts[inverse])
     return psi, max(drift, abs(float(np.linalg.norm(psi)) - 1.0))
+
+
+def _slice_product(levels, zhat, pole, offset, phases, psi, block) -> np.ndarray:
+    """V diag(phases) V^T psi for the rank_one_vectors V^T of the roots
+    levels[pole] + offset, as zhat * r^T (phases * c2 * (r @ (zhat * psi)))
+    over the _reciprocals of block roots at a time; the real r takes psi's
+    real and imaginary parts as the two columns of one matrix product."""
+    zhat2, state = zhat * zhat, (zhat * psi).view(np.float64).reshape(-1, 2)
+    new = np.zeros((levels.size, 2))
+    for rows in range(0, levels.size, block):
+        b = slice(rows, rows + block)
+        r, c2 = _reciprocals(levels, zhat2, pole[b], offset[b])
+        amps = phases[b] * c2 * (r @ state).view(np.complex128).ravel()
+        new += r.T @ amps.view(np.float64).reshape(-1, 2)
+    return zhat * new.view(np.complex128).ravel()
 
 
 def _slice_roots(levels, weights, couplings, block):
@@ -239,7 +250,9 @@ def _slice_roots(levels, weights, couplings, block):
     schedule whose slice couplings are couplings, with the warm starts that
     rank_one_evolve describes.  The slices go in parts of block rounded up
     to a whole anchor stride, so a part holds up to stride - 1 slices more
-    than block."""
+    than block.  Each part solves its anchors and the next part's first
+    slice, which it carries there.  An anchor depends only on its coupling,
+    so no root depends on block."""
     steps = couplings.size
     stride = ANCHOR if steps >= WARM_MIN_STEPS else 1
     block = -(-block // stride) * stride

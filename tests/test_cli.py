@@ -289,6 +289,16 @@ def test_reader_skips_blank_rows(tmp_path, capsys):
     assert fronts[0] == fronts[1]
 
 
+def test_table_at_a_json_path_is_read_without_a_sidecar(tmp_path, capsys):
+    # t.json's sidecar path is t.json itself: the table, not a sidecar.
+    fronts = []
+    for name in ("t.csv", "t.json"):
+        (tmp_path / name).write_text(TWO_ROWS)
+        assert main(["front", str(tmp_path / name)]) == EXIT_OK
+        fronts.append(capsys.readouterr().out)
+    assert fronts[0] == fronts[1]
+
+
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     def refuse(src, dst):
         raise OSError("rename refused")

@@ -465,6 +465,65 @@ def test_rank_one_eigh_matches_dense_eigvalsh(levels, weights):
     _assert_dense_eigenpairs(levels, weights, KERNEL_COUPLINGS, values, vectors)
 
 
+def _normalized_vectors(levels, zhat, pole, offset):
+    """Unit eigenvectors, as rows, normalized in place as evolve formed them
+    before it applied each slice as sums over the reciprocals: the oracle."""
+    vec = rank_one._level_gaps(levels, pole, offset)
+    np.divide(zhat, vec, out=vec)
+    vec *= np.abs(offset[:, None])
+    vec /= np.sqrt(np.einsum("rj,rj->r", vec, vec))[:, None]
+    return vec
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_slice_product_matches_the_normalized_vectors(levels, weights):
+    # Levels 1e-300 apart ("tiny_gaps") are the closest rank_one_eigh takes;
+    # evolve merges levels closer than the smallest normal float first.
+    rng = np.random.default_rng(levels.size)
+    psi = rng.normal(size=levels.size) + 1j * rng.normal(size=levels.size)
+    for pole, offset, zhat in zip(*rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)):
+        phases = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, levels.size))
+        vecs = _normalized_vectors(levels, zhat, pole, offset)
+        ref = vecs.T @ (phases * (vecs @ psi))
+        for block in (1, 7, levels.size):
+            new = rank_one._slice_product(levels, zhat, pole, offset, phases, psi, block)
+            assert np.max(np.abs(new - ref)) <= 1e-14 * np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("size", [3, 32])
+def test_evolve_final_state_does_not_depend_on_the_block_size(monkeypatch, size):
+    # 40 slices start warm from anchors.  At RANK_ONE_BLOCK 7, 3 levels go
+    # in blocks of 2 roots and 32 levels in blocks of 1, as at 1.
+    diag = np.random.default_rng(size).uniform(0.0, 9.0, size)[np.arange(64) % size]
+    states = []
+    for block in (1, 7, 1 << 10):
+        monkeypatch.setattr(rank_one, "RANK_ONE_BLOCK", block)
+        states.append(rank_one.rank_one_evolve(8.0, diag, 0.5, 40, 0.0)[0])
+    for state in states[1:]:
+        assert np.max(np.abs(state - states[0])) <= 1e-14
+
+
+def _weights_by_absolute_differences(levels, couplings, pole, offset):
+    """rank_one_eigh's weights, one root at a time, each far level
+    difference the larger of two absolute ones, as rank_one_eigh formed
+    them before it picked the difference by side: the oracle."""
+    zhat2 = rank_one._level_gaps(levels, pole[:, 0], offset[:, 0])
+    zhat2 /= (levels - levels[0]) + couplings[:, None]
+    for k in range(1, levels.size):
+        ratio = rank_one._level_gaps(levels, pole[:, k], offset[:, k])
+        far = np.maximum(np.abs(levels - levels[k - 1]), np.abs(levels - levels[k]))
+        ratio *= np.reciprocal(far)
+        zhat2 = ratio * zhat2
+    return np.sqrt(np.abs(zhat2) * (1.0 + (levels - levels[0]) / couplings[:, None]))
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_weights_keep_the_bits_of_the_absolute_differences(levels, weights):
+    pole, offset, zhat = rank_one.rank_one_eigh(levels, weights, KERNEL_COUPLINGS)
+    ref = _weights_by_absolute_differences(levels, KERNEL_COUPLINGS, pole, offset)
+    assert zhat.tobytes() == ref.tobytes()
+
+
 def _starts(levels, pole, offset):
     """Guesses for the roots levels[pole] + offset, one kind per name."""
     k = np.arange(levels.size)
@@ -657,6 +716,8 @@ def test_rank_one_eigh_without_problems_returns_empty_results(size):
     levels = np.arange(1.0, size + 1.0)
     results = rank_one.rank_one_eigh(levels, np.full(size, 1.0 / size), np.array([]))
     assert [part.shape for part in results] == [(0, size)] * 3
+    pole, offset = (part.ravel() for part in results[:2])
+    assert rank_one.rank_one_vectors(levels, np.ones(size), pole, offset).shape == (0, size)
 
 
 def test_rank_one_eigh_single_level_is_closed_form():
