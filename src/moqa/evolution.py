@@ -126,12 +126,10 @@ def evolve(
     if total_time > 0 and h0.is_default:
         psi, drift = rank_one_evolve(h0.scale, hw.diagonal, dt, steps, drift)
     elif total_time > 0:
-        import scipy.linalg
-
         for k in range(steps):
             s_mid = (k + 0.5) / steps
             mat = interpolation_dense(h0, hw, s_mid)
-            vals, vecs = scipy.linalg.eigh(mat)
+            vals, vecs = np.linalg.eigh(mat)
             phases = np.exp(-1j * dt * vals)
             psi = vecs @ (phases * (vecs.conj().T @ psi))
             drift = max(drift, abs(float(np.linalg.norm(psi)) - 1.0))

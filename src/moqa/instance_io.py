@@ -71,11 +71,12 @@ def read_instance(csv_path) -> McoInstance:
 
     Raises:
         InstanceFormatError: On a table or sidecar that is not UTF-8
-            text, malformed headers, gaps or duplicates in the index
-            column, non-numeric or negative values, a row count that does
-            not cover a full power-of-two domain, or a sidecar field that
-            is not numeric, an n, d or label_offset that is not an integer,
-            or an n or d that disagrees with the table.
+            text, a field that csv.reader refuses (one longer than
+            csv.field_size_limit()), malformed headers, gaps or duplicates
+            in the index column, non-numeric or negative values, a row
+            count that does not cover a full power-of-two domain, or a
+            sidecar field that is not numeric, an n, d or label_offset that
+            is not an integer, or an n or d that disagrees with the table.
     """
     csv_path = Path(csv_path)
     text = _read_utf8(csv_path, newline="")
@@ -179,44 +180,43 @@ def _parse_rows(csv_path: Path, text: str) -> np.ndarray:
     InstanceFormatError at the first malformed line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InstanceFormatError(f"{csv_path}: empty file") from None
-    d = len(header) - 1
-    if d < 2 or header[0] != "x" or header[1:] != [f"f{i+1}" for i in range(d)]:
-        raise InstanceFormatError(
-            f"{csv_path}: header must be x,f1,...,fd with d >= 2; got {header}"
-        )
-    rows: list[list[float]] = []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != d + 1:
-            raise InstanceFormatError(
-                f"{csv_path}:{lineno}: expected {d + 1} fields, got {len(rec)}"
-            )
         try:
-            x = int(rec[0])
-            vals = [float(v) for v in rec[1:]]
-        except ValueError as exc:
-            raise InstanceFormatError(f"{csv_path}:{lineno}: {exc}") from None
-        if x != len(rows):
-            if 0 <= x < len(rows):
+            header = next(reader)
+        except StopIteration:
+            raise InstanceFormatError(f"{csv_path}: empty file") from None
+        d = len(header) - 1
+        if d < 2 or header[0] != "x" or header[1:] != [f"f{i+1}" for i in range(d)]:
+            raise InstanceFormatError(
+                f"{csv_path}: header must be x,f1,...,fd with d >= 2; got {header}"
+            )
+        rows: list[list[float]] = []
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != d + 1:
                 raise InstanceFormatError(
-                    f"{csv_path}:{lineno}: duplicate index {x}"
+                    f"{csv_path}:{lineno}: expected {d + 1} fields, got {len(rec)}"
                 )
-            raise InstanceFormatError(
-                f"{csv_path}:{lineno}: index {x} out of order; "
-                f"expected {len(rows)} (gaps are not allowed)"
-            )
-        if any(v < 0 for v in vals):
-            raise InstanceFormatError(
-                f"{csv_path}:{lineno}: negative objective value"
-            )
-        rows.append(vals)
-    if not rows:
-        raise InstanceFormatError(f"{csv_path}: no data rows")
-    return np.asarray(rows)
+            try:
+                x = int(rec[0])
+                vals = [float(v) for v in rec[1:]]
+            except ValueError as exc:
+                raise InstanceFormatError(f"{csv_path}:{lineno}: {exc}") from None
+            if x != len(rows):
+                if 0 <= x < len(rows):
+                    raise InstanceFormatError(f"{csv_path}:{lineno}: duplicate index {x}")
+                raise InstanceFormatError(
+                    f"{csv_path}:{lineno}: index {x} out of order; "
+                    f"expected {len(rows)} (gaps are not allowed)"
+                )
+            if any(v < 0 for v in vals):
+                raise InstanceFormatError(f"{csv_path}:{lineno}: negative objective value")
+            rows.append(vals)
+        if not rows:
+            raise InstanceFormatError(f"{csv_path}: no data rows")
+        return np.asarray(rows)
+    except csv.Error as exc:
+        raise InstanceFormatError(f"{csv_path}:{reader.line_num}: {exc}") from None
 
 
 def _sidecar_field(meta: Path, info: dict, key: str, convert):

@@ -52,6 +52,7 @@ class EigenPair:
 def smallest_two(op: HermitianOperator) -> tuple[EigenPair, EigenPair]:
     """The two smallest eigenpairs of a Hermitian operator.
 
+    Runs a full numpy.linalg.eigh, O(N^3), and keeps its first two pairs.
     Eigenvalues come back in ascending order with orthonormal vectors;
     residual norms ||H v - t v|| stay below RESIDUAL_REL_TOL times the
     spectral norm of H.
@@ -62,13 +63,8 @@ def smallest_two(op: HermitianOperator) -> tuple[EigenPair, EigenPair]:
     Returns:
         (ground, first_excited) EigenPairs.
     """
-    import scipy.linalg
-
-    vals, vecs = scipy.linalg.eigh(op.entries, subset_by_index=(0, 1))
-    return (
-        EigenPair(float(vals[0]), vecs[:, 0].copy()),
-        EigenPair(float(vals[1]), vecs[:, 1].copy()),
-    )
+    vals, vecs = np.linalg.eigh(op.entries)
+    return tuple(EigenPair(float(vals[k]), vecs[:, k].copy()) for k in (0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,14 +157,11 @@ def gap_scan(
             lambda0[1:-1], lambda1[1:-1] = (pole0[1:-1, None] + s * dist).T
             gap[1:-1] = s[:, 0] * (dist[:, 1] - dist[:, 0])
     else:
-        import scipy.linalg
-
         lambda0 = np.empty(grid.size)
         lambda1 = np.empty(grid.size)
         for k, s in enumerate(grid):
             mat = interpolation_dense(h0, hw, float(s))
-            vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=(0, 1))
-            lambda0[k], lambda1[k] = float(vals[0]), float(vals[1])
+            lambda0[k], lambda1[k] = np.linalg.eigvalsh(mat)[:2]
         gap = lambda1 - lambda0
     return GapCurve(grid, lambda0, lambda1, gap)
 

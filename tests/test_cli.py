@@ -235,11 +235,13 @@ TWO_ROWS = "x,f1,f2\n0,0.0,1.0\n1,1.0,0.0\n"
     ("x,f1,f2\n0,1.0\n", None, "{csv}:2: expected 3 fields, got 2"),
     ("x,f1,f2\n0,abc,1.0\n", None, "{csv}:2: could not convert string to float: 'abc'"),
     ("x,f1,f2\n", None, "{csv}: no data rows"),
+    ("x,f1,f2\n0," + "0" * 131073 + ",1.0\n", None,
+     "{csv}:2: field larger than field limit (131072)"),
     (TWO_ROWS, "oops", "{json}: Expecting value: line 1 column 1 (char 0)"),
     (TWO_ROWS, "[2, 2]", "{json}: sidecar must be a JSON object"),
     (TWO_ROWS, '{"d": 3}', "{json}: sidecar d=3 disagrees with 2 columns"),
-], ids=["empty", "field_count", "unparsable", "no_rows", "sidecar_syntax", "sidecar_list",
-        "sidecar_d"])
+], ids=["empty", "field_count", "unparsable", "no_rows", "field_limit", "sidecar_syntax",
+        "sidecar_list", "sidecar_d"])
 def test_reader_error_messages(tmp_path, capsys, table, sidecar, message):
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
     csv_path.write_text(table)
@@ -1000,8 +1002,7 @@ def test_module_entry_point_smoke():
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
-    # No code path imports scipy.optimize, and scipy.linalg is imported only
-    # when a dense eigensolve runs: smallest_two or a non-default penalty.
+    # No module in the package imports scipy; the tests use it as an oracle.
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, moqa.cli; print({module!r} in sys.modules)"],
@@ -1009,6 +1010,87 @@ def test_cli_import_leaves_scipy_module_unloaded(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Runs in a child whose import of any scipy module raises ImportError.  The
+# calls table must name every public function, and each CLI subcommand must
+# exit 0.
+NO_SCIPY_SCRIPT = """
+import contextlib, inspect, os, sys
+sys.modules["scipy"] = None
+import numpy as np
+import moqa
+from moqa.cli import main
+
+out, tie_csv, d3_csv = sys.argv[1:]
+inst = moqa.builtin_instance()
+w = moqa.Linearization.pair(0.57)
+hw = moqa.build_final(inst, w)
+drivers = [moqa.build_initial(inst.n),
+           moqa.build_initial(inst.n, h_values=np.r_[0.0, np.linspace(1.0, 2.0, hw.dim - 1)])]
+tie = moqa.read_instance(tie_csv)
+params = moqa.TwoParabolasParams(n=4, x0=4, x0p=11, curvature1=(1.0, 2.0),
+                                 curvature2=(1.5, 3.0), lam=(0.5, 0.75), seed=1)
+mat = np.random.default_rng(0).normal(size=(8, 8))
+calls = {
+    "build_final": lambda: moqa.build_final(inst, moqa.Linearization.pair(0.25)),
+    "build_initial": lambda: moqa.build_initial(2, scale=2.0),
+    "builtin_instance": moqa.builtin_instance,
+    "commutes": lambda: [moqa.commutes(h0, hw) for h0 in drivers],
+    "degeneracy_check": lambda: moqa.degeneracy_check(hw),
+    "delta_max": lambda: [moqa.delta_max(h0, hw) for h0 in drivers],
+    "end_gap_diagnostics": lambda: moqa.end_gap_diagnostics(inst, w),
+    "equivalent": lambda: moqa.equivalent(inst, 0, 1),
+    "evolve": lambda: [moqa.evolve(h0, hw, 50.0, steps=8) for h0 in drivers],
+    "gap_scan": lambda: [moqa.gap_scan(h0, hw, points=16) for h0 in drivers],
+    "generate": lambda: moqa.generate(params),
+    "hadamard_transform": lambda: moqa.hadamard_transform(np.ones(8)),
+    "initial_ground_state": lambda: moqa.initial_ground_state(3),
+    "l1_radius": lambda: moqa.l1_radius(inst, w),
+    "measure": lambda: moqa.measure(moqa.initial_ground_state(3), 10, seed=0),
+    "pareto_front": lambda: moqa.pareto_front(inst),
+    "read_instance": lambda: moqa.read_instance(tie_csv),
+    "resolve": lambda: moqa.resolve(tie, moqa.Linearization.pair(0.5)),
+    "runtime_estimate": lambda: moqa.runtime_estimate(0.5, 8.0),
+    "scalarize": lambda: moqa.scalarize(inst, w),
+    "smallest_two": lambda: moqa.smallest_two(moqa.HermitianOperator(mat + mat.T)),
+    "supported_solutions": lambda: [moqa.supported_solutions(inst),
+                                    moqa.supported_solutions(moqa.read_instance(d3_csv))],
+    "trivial_solutions": lambda: moqa.trivial_solutions(inst),
+    "uniform_grid": lambda: moqa.uniform_grid(8),
+    "validate": lambda: moqa.validate(inst, collision_scope="all"),
+    "verify_two_parabolas": lambda: moqa.verify_two_parabolas(
+        inst, moqa.BUILTIN_X0, moqa.BUILTIN_X0P),
+    "write_histogram_csv": lambda: moqa.write_histogram_csv(
+        np.arange(8), os.path.join(out, "counts.csv")),
+    "write_instance": lambda: moqa.write_instance(inst, os.path.join(out, "inst.csv")),
+}
+public = {name for name in moqa.__all__ if inspect.isfunction(getattr(moqa, name))}
+assert set(calls) == public, sorted(set(calls) ^ public)
+for call in calls.values():
+    call()
+commands = [["validate", "--builtin"], ["front", "--builtin"], ["front", d3_csv],
+            ["gap-scan", "--builtin", "--w", "0.57", "--points", "16",
+             "--curve", os.path.join(out, "curve.csv")],
+            ["resolve", tie_csv, "--w", "0.5"],
+            ["evolve", "--builtin", "--w", "0.57", "--T", "50", "--steps", "8",
+             "--shots", "10", "--seed", "0", "--histogram", os.path.join(out, "hist.csv")],
+            ["bench", "export", "--output", os.path.join(out, "bench.csv")]]
+with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+    for argv in commands:
+        assert main(argv) == 0, argv
+"""
+
+
+def test_every_public_function_and_subcommand_runs_without_scipy(tmp_path, tie_csv,
+                                                                 d3_ties_csv):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", NO_SCIPY_SCRIPT, str(tmp_path), tie_csv,
+         d3_ties_csv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == proc.stderr == ""
 
 
 def test_front_leaves_numpy_ma_unloaded():

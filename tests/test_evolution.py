@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -182,7 +181,8 @@ def test_default_driver_evolution_skips_dense_solvers(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense solver ran")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(evolution, "interpolation_dense", refuse)
     h0 = build_initial(5)
     hw = DiagonalHamiltonian(rng.uniform(0.0, 50.0, 32))

@@ -851,6 +851,8 @@ def _reference_read(path):
         if len(rows) & (len(rows) - 1) or len(rows) < 2:
             raise InstanceFormatError(f"{path}: {len(rows)} rows do not cover a full 2^n domain")
         return McoInstance(np.asarray(rows)).values.tobytes()
+    except csv.Error as exc:
+        return InstanceFormatError, f"{path}:{reader.line_num}: {exc}"
     except Exception as exc:
         return type(exc), str(exc)
 
