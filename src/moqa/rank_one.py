@@ -7,13 +7,14 @@ levels (Golub 1973).  secular_roots finds them from the levels and weights
 alone, by a rational iteration inside a kept bracket, without forming a
 matrix; spectral's gap scan and delta_max and rank_one_eigh each call it
 once.  rank_one_evolve runs evolve's default-driver schedule on its roots
-and weights in the level basis, starting most slices' roots from those of
-anchor slices, and applies each slice as three Cauchy sums over blocks of
-scaled reciprocals |offset| / (levels_j - root), forming no unit
-eigenvector.  A far_pole_fit, built once per problem in O(K^1.5) on evenly
-spread levels, cuts a step of every root but the lowest from O(K) to
-O(window + FIT_DEGREE); rank_one_evolve builds one once its slices times
-K^1.5 reach FIT_MIN_WORK.
+and weights in the level basis, starting most slices' roots from a
+polynomial through those of the 8 nearest anchor slices, and applies each
+slice as three Cauchy sums over blocks of scaled reciprocals
+|offset| / (levels_j - root), forming no unit eigenvector.  A
+far_pole_fit, built once per problem in O(K^1.5) on evenly spread levels,
+cuts a step of every root but the lowest from O(K) to O(window +
+FIT_DEGREE); rank_one_evolve builds one once its slices times K^1.5 reach
+FIT_MIN_WORK.
 
 Root steps, weights and reciprocals all start from the gaps
 (levels_j - levels[pole]) - offset, each level difference rounded once
@@ -50,15 +51,22 @@ FIT_DEGREE = 15
 _LEAF_MIN = 256
 _LEAF_DEGREE = 22
 #: The anchor stride: rank_one_evolve solves every ANCHOR-th slice, and the
-#: last, from the bracket midpoints and starts the slices between from
-#: those roots...
+#: last, from the bracket midpoints and starts each slice between from the
+#: roots of the _STENCIL anchors nearest it...
 ANCHOR = 8
 #: ...in schedules of at least this many slices, whose anchors lie at most
 #: a quarter of the schedule apart; shorter ones take stride 1, so every
-#: slice is an anchor.  On a 2-core machine at one BLAS thread, anchors paid
-#: from about 32 slices at K = 128 and 1024, and a fit from about 32 slices
-#: at K = 128, 12 at 256, 3 at 512, 2 at 1024 and 1 at 2048 and 4096.
+#: slice is an anchor.  On a 2-core machine at one BLAS thread, a fit paid
+#: from about 32 slices at K = 128, 12 at 256, 3 at 512, 2 at 1024 and 1 at
+#: 2048 and 4096.  With stencil starts, _slice_roots with anchors took, of
+#: its time with every slice cold, 0.95 at K = 128 and 24 slices, 1.09 at 32
+#: (the first with a fit), 0.94 at 40 and 0.85 at 64, and at K = 1024 1.03
+#: at 24, 0.98 at 32, 1.01 at 48 and 0.98 at 64, within the 5 % noise
+#: (medians of 4 alternating processes); the linear starts before them read
+#: 1.04 at K = 128 and 32 slices and 0.95 at 40, so the crossover stayed.
 WARM_MIN_STEPS = 32
+# A warm slice's stencil: the anchors whose roots its start interpolates.
+_STENCIL = 8
 #: S slices over K levels build a far_pole_fit once S * K**1.5 reaches this.
 FIT_MIN_WORK = 40000
 
@@ -191,11 +199,17 @@ def rank_one_evolve(scale, diagonal, dt, steps, drift):
 
     The anchors, every stride-th slice and the last, are solved once each
     from the bracket midpoints.  Every other slice starts each root from
-    the roots of the two anchors around it: interpolated linearly in the
-    slice index when both share a pole, else at the nearer anchor's.  The
-    stride is ANCHOR in a schedule of at least WARM_MIN_STEPS slices.  A
-    shorter schedule takes stride 1 and solves every slice from the
-    midpoints, as its anchors would lie too far apart to give good starts.
+    the roots of its stencil, the _STENCIL anchors nearest it: 4 on each
+    side in the interior, the 8 nearest at the ends of the schedule, or
+    every anchor of a schedule with fewer.  A root whose pole is the same
+    at all of them starts at the Lagrange polynomial through their offsets
+    in the slice index; on the bundled 512-slice schedule 92 % of the
+    starts lie within RANK_ONE_STEP_TOL of the root, so one step settles
+    them.  Any other root starts at the root of the nearer of the two
+    anchors around the slice.  The stride is ANCHOR in a schedule of at
+    least WARM_MIN_STEPS slices.  A shorter schedule takes stride 1 and
+    solves every slice from the midpoints, as its anchors would lie too far
+    apart to give good starts.
     Every root step uses one far_pole_fit once the slices times K^1.5 reach
     FIT_MIN_WORK, and sums all K poles in a smaller schedule.  The slices go
     in parts of RANK_ONE_BLOCK / K (see _slice_roots), on which no root depends.
@@ -250,54 +264,83 @@ def _slice_roots(levels, weights, couplings, block):
     schedule whose slice couplings are couplings, with the warm starts that
     rank_one_evolve describes.  The slices go in parts of block rounded up
     to a whole anchor stride, so a part holds up to stride - 1 slices more
-    than block.  Each part solves its anchors and the next part's first
-    slice, which it carries there.  An anchor depends only on its coupling,
-    so no root depends on block."""
+    than block.  A part solves the anchors that its slices and their
+    stencils reach and no earlier part solved, and the anchors from its last
+    stencil on carry into the next part.  An anchor depends only on its
+    coupling and a start only on its stencil's anchors, so no root depends
+    on block."""
     steps = couplings.size
     stride = ANCHOR if steps >= WARM_MIN_STEPS else 1
     block = -(-block // stride) * stride
     fit = far_pole_fit(levels, weights) if steps * levels.size**1.5 >= FIT_MIN_WORK else None
+    anchors = np.r_[0:steps - 1:stride, steps - 1]
+    width = min(_STENCIL, anchors.size)
+    # solved holds the roots of anchors[have:done], one row each.
+    have = done = 0
     for start in range(0, steps, block):
         part = np.arange(start, min(start + block, steps))
-        at_anchor = (part % stride == 0) | (part == steps - 1)
-        # The part's anchors and the one after them: the next part's first
-        # slice, which this part solves and carries there, or the last slice.
-        end = min(start + block, steps - 1)
-        anchors = np.r_[np.arange(start, end, stride), end]
-        warm = part[~at_anchor]
-        below = (warm - start) // stride
-        above = below + 1
+        # Each slice's anchor, or the last one before it.
+        below = np.searchsorted(anchors, part, side="right") - 1
+        at_anchor = anchors[below] == part
+        warm, below_warm = part[~at_anchor], below[~at_anchor]
+        # Each warm slice's stencil: 4 anchors on each side of it in the
+        # interior, the 8 nearest at the ends of the schedule, or all of them.
+        first = np.clip(below_warm - (_STENCIL // 2 - 1), 0, anchors.size - width)
+        stencil = first[:, None] + np.arange(width)
+        lo, hi = below[0], below[-1] + 1
+        if warm.size:
+            lo, hi = min(lo, stencil[0, 0]), max(hi, stencil[-1, -1] + 1)
         # The starts take one slice per column, so rank_one_eigh's root-major
         # rows are their memory and the roots land in place.  Made before the
         # anchors' temporaries, they do not pin the top of the heap.
         pole = np.empty((levels.size, warm.size), np.intp)
         offset = np.empty((levels.size, warm.size))
-        # Past the first part, the first anchor is the one carried in; the
-        # last part may hold no other.
-        own = anchors[1 if start else 0:]
-        if own.size:
-            cold = rank_one_eigh(levels, weights, couplings[own], None, fit)
-            if start:
-                cold = tuple(np.concatenate(pair) for pair in zip(carried, cold))
-        else:
-            cold = carried
-        carried = tuple(x[-1:].copy() for x in cold)
-        t = (warm - anchors[below]) / (anchors[above] - anchors[below])
-        poles, offsets = cold[0].T, cold[1].T
-        near = np.where(t > 0.5, above, below)
-        np.take(poles, near, axis=1, out=pole)
-        np.take(offsets, below, axis=1, out=offset)
-        offset += t * (np.take(offsets, above, axis=1) - offset)
-        # A root whose anchors differ in pole starts at the nearer one's root.
-        split = np.take(poles, below, axis=1) != np.take(poles, above, axis=1)
-        np.copyto(offset, np.take(offsets, near, axis=1), where=split)
-        solved = zip(*cold)
+        if hi > done:
+            cold = rank_one_eigh(levels, weights, couplings[anchors[done:hi]], None, fit)
+            if done > have:  # after the anchors carried in
+                cold = [np.concatenate(pair) for pair in zip(solved, cold)]
+            solved, done = cold, hi
+        solved, have = [x[lo - have:] for x in solved], lo
         if warm.size:
+            # The nearer of the two anchors around the slice, the lower at a tie.
+            near = below_warm + (2 * warm > anchors[below_warm] + anchors[below_warm + 1])
+            nodes = anchors[stencil] - warm[:, None]
+            _stencil_starts(nodes, stencil - have, near - have, solved, pole, offset)
             warmed = zip(*rank_one_eigh(levels, weights, couplings[warm], (pole.T, offset.T), fit))
         if start + block >= steps:
             del fit  # solved: freed before the slices' vectors are formed
-        for is_anchor in at_anchor:
-            yield next(solved) if is_anchor else next(warmed)
+        for k, is_anchor in zip(below - have, at_anchor):
+            yield tuple(x[k] for x in solved) if is_anchor else next(warmed)
+
+
+def _stencil_starts(nodes, columns, near, solved, pole, offset):
+    """Writes each warm slice's start into pole and offset, shape (K, warm
+    slices), from solved, the anchors' (pole, offset, zhat) rows.  A root
+    whose pole is the same in all of its slice's stencil rows, columns,
+    starts at the Lagrange polynomial through their offsets in the slice
+    index, taken at the slice; nodes holds their anchors' slice indices less
+    the slice's.  Any other root starts at its value in row near."""
+    # lagrange[:, i] is the product over j != i of nodes_j / (nodes_j - nodes_i),
+    # taken one factor at a time; a warm slice is no anchor, so no node is 0.
+    lagrange = np.ones(nodes.shape)
+    for j, node in enumerate(nodes.T):
+        gaps = node[:, None] - nodes
+        gaps[:, j] = node
+        lagrange *= node[:, None] / gaps
+    poles, offsets = (np.ascontiguousarray(x.T) for x in solved[:2])
+    # Every index is in range.  In mode "clip" take writes into out directly;
+    # in the default mode it writes through a buffer of out's size.
+    np.take(poles, near, axis=1, out=pole, mode="clip")
+    split, column, term = np.zeros(pole.shape, bool), np.empty_like(pole), np.empty_like(offset)
+    offset.fill(0.0)
+    for at, weight in zip(columns.T, lagrange.T):
+        np.take(poles, at, axis=1, out=column, mode="clip")
+        split |= column != pole
+        np.take(offsets, at, axis=1, out=term, mode="clip")
+        term *= weight
+        offset += term
+    np.take(offsets, near, axis=1, out=term, mode="clip")
+    np.copyto(offset, term, where=split)
 
 
 def secular_roots(

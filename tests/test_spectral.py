@@ -7,6 +7,7 @@ gap scan, delta_max and commutator norm of the default driver.
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -566,12 +567,15 @@ def test_guess_in_root_major_layout_receives_the_roots():
     assert all(new.tobytes() == old.tobytes() for new, old in zip(again, cold))
 
 
-def test_warm_starts_follow_the_anchor_rule(monkeypatch):
-    # 100 slices: anchors at 0, 8, ..., 96 and 99.
+# 100 slices have anchors 0, 8, ..., 96 and 99: their stencils of 8 sit
+# 4 on each side of a slice in the interior and take the 8 nearest anchors
+# at the ends.  40 slices have 6 anchors, 0, 8, ..., 32 and 39, and every
+# stencil holds them all.
+@pytest.mark.parametrize("steps", [100, 40])
+def test_warm_starts_follow_the_stencil_rule(monkeypatch, steps):
     levels, counts = np.unique(
         build_final(builtin_instance(), Linearization.pair(0.57)).diagonal, return_counts=True
     )
-    weights, steps = counts / 128.0, 100
     s = (np.arange(steps) + 0.5) / steps
     couplings = (1.0 - s) * 8.0 / s
     kernel, calls = rank_one.rank_one_eigh, []
@@ -581,23 +585,43 @@ def test_warm_starts_follow_the_anchor_rule(monkeypatch):
         return kernel(levels, weights, couplings, guess, fit)
 
     monkeypatch.setattr(rank_one, "rank_one_eigh", recorded)
-    out = list(rank_one._slice_roots(levels, weights, couplings, steps))
-    (anchors, cold_guess), (warm, guess) = calls
-    assert cold_guess is None
-    assert anchors.tolist() == couplings[[*range(0, steps, 8), steps - 1]].tolist()
-    rows = [k for k in range(steps) if k % 8 and k != steps - 1]
+    out = list(rank_one._slice_roots(levels, counts / 128.0, couplings, steps))
+    (cold, cold_guess), (warm, guess) = calls
+    anchors = [*range(0, steps - 1, 8), steps - 1]
+    assert cold_guess is None and cold.tolist() == couplings[anchors].tolist()
+    rows = [k for k in range(steps) if k not in anchors]
     assert warm.tolist() == couplings[rows].tolist()
+    width, firsts, kinds = min(8, len(anchors)), set(), {"shared": 0, "split": 0}
     for (pole, offset), k in zip(zip(*guess), rows):
-        below, above = k - k % 8, min(k - k % 8 + 8, steps - 1)
-        t = (k - below) / (above - below)
-        (p0, o0, _), (p1, o1, _) = out[below], out[above]
-        near_p, near_o = (p1, o1) if t > 0.5 else (p0, o0)
-        assert pole.tolist() == near_p.tolist()
-        expected = np.where(p0 == p1, o0 + t * (o1 - o0), near_o)
-        assert offset.tobytes() == expected.tobytes()
+        below = max(i for i, at in enumerate(anchors) if at < k)
+        first = min(max(below - 3, 0), len(anchors) - width)
+        stencil = anchors[first:first + width]
+        firsts.add(first)
+        near = anchors[below + (2 * k > anchors[below] + anchors[below + 1])]
+        assert pole.tolist() == out[near][0].tolist()
+        poles = np.array([out[at][0] for at in stencil])
+        offsets = np.array([out[at][1] for at in stencil])
+        shared = np.all(poles == poles[0], axis=0)
+        # The Lagrange basis in the slice index, exact before its one rounding.
+        basis = np.array([float(math.prod(
+            Fraction(k - other, at - other) for other in stencil if other != at
+        )) for at in stencil])
+        terms = basis[:, None] * offsets
+        bound = 1e-14 * np.sum(np.abs(terms), axis=0)
+        assert np.all(np.abs(offset - terms.sum(axis=0))[shared] <= bound[shared])
+        assert offset[~shared].tobytes() == out[near][1][~shared].tobytes()
+        kinds["shared"] += shared.sum()
+        kinds["split"] += (~shared).sum()
+    # Interior stencils and both ends; roots that take the interpolant and
+    # roots whose stencil's anchors differ in pole.
+    assert firsts == set(range(len(anchors) - width + 1))
+    assert kinds["shared"] > 0 and kinds["split"] > 0
 
 
-@pytest.mark.parametrize("steps", [100, 20])
+# Blocks 1 and 6 make parts of 8 slices, 9 and 16 of 16, and 24 of 24:
+# each part holds fewer anchors than a stencil, so stencils reach anchors
+# up to 4 parts ahead.  40 slices have 6 anchors, all in every stencil.
+@pytest.mark.parametrize("steps", [100, 40, 20])
 def test_slice_roots_do_not_depend_on_the_part_size(steps):
     # Anchors are solved from the midpoints and the slices between start
     # from them, so no root depends on where the parts of the schedule end.
@@ -613,7 +637,7 @@ def test_slice_roots_do_not_depend_on_the_part_size(steps):
 
     whole = roots(steps)
     assert len(whole) == steps
-    for block in (1, 6, 9):
+    for block in (1, 6, 9, 16, 24):
         assert roots(block) == whole, block
 
 
@@ -650,7 +674,7 @@ def test_warm_starts_cut_root_steps_on_the_bundled_schedule(monkeypatch):
     monkeypatch.setattr(rank_one, "WARM_MIN_STEPS", 513)
     cold, _ = per_root()
     assert cold > 4.0
-    assert warm <= 2.5 and most <= 6
+    assert warm <= 1.6 and most <= 6
 
 
 def _broadcast_gaps(levels, pole, offset):
@@ -863,14 +887,18 @@ def test_secular_block_size_leaves_results_unchanged(monkeypatch, block):
 
 # At K = 32 a chunk of 64 slices rounds up to whole strides of 8: chunks
 # of 1, 6 and 8 slices make 8-slice parts, and chunk 9 makes 16-slice
-# parts.  20 slices have stride 1, so chunk 6 makes 6-slice parts.  Each
-# part's last anchor is the next part's first, solved once.  33 slices at
-# chunk 8, and 20 at chunk 1, leave a last part that holds only the anchor
-# carried into it, which needs no solve.
+# parts.  Each such part holds one or two anchors, fewer than a stencil's
+# 8, so a part solves the anchors up to 4 parts ahead and the parts after
+# it solve none for a while.  20 slices have stride 1, so chunk 6 makes
+# 6-slice parts.  33 slices have 5 anchors, all solved by the first part at
+# chunk 8, which leaves the other 4 parts no anchor to solve; 20 at chunk
+# 1 solve one anchor per part.  100 slices at chunk 24 make 24-slice parts
+# of 3 anchors; 40 at chunk 16 have 6 anchors, all solved by the first part.
 @pytest.mark.parametrize("steps, chunk", [
     pytest.param(64, chunk, id=str(chunk)) for chunk in (1, 6, 8, 9)
 ] + [pytest.param(20, 6, id="20_slices-6"), pytest.param(20, 1, id="20_slices-1"),
-     pytest.param(33, 8, id="33_slices-8")])
+     pytest.param(33, 8, id="33_slices-8"), pytest.param(100, 24, id="100_slices-24"),
+     pytest.param(100, 1, id="100_slices-1"), pytest.param(40, 16, id="40_slices-16")])
 def test_evolve_solves_each_slice_once_across_chunks(monkeypatch, steps, chunk):
     run = (build_initial(5), DiagonalHamiltonian(np.random.default_rng(5).uniform(0, 9, 32)))
     kernel, rows = rank_one.rank_one_eigh, []
@@ -1074,6 +1102,35 @@ def test_fitted_roots_match_a_60_digit_solve(table, direct_worst):
         root = at + decimal.Decimal(float(offset[row]))
         worst = max(worst, float(abs(root - ref) / abs(ref - at)))
     assert worst <= 4 * direct_worst
+
+
+@pytest.mark.parametrize("levels, weights", _kernel_cases())
+def test_stencil_started_roots_match_a_cold_solve(monkeypatch, levels, weights):
+    # A stencil-started root within 4 * 6.19e-16 of the cold root, relative
+    # to the cold root's distance from its pole, meets the bound the test
+    # above takes at the uniform table.  Any other pair is checked against
+    # a 60-digit solve.  Such pairs occur on the tables of tiny weights,
+    # where the cold roots themselves err by up to 2.5e-13 of that
+    # distance: there the stencil-started roots' worst error may be at most
+    # 4 times the cold roots', as the fits' is above.
+    assert 64 >= rank_one.WARM_MIN_STEPS
+    s = (np.arange(64) + 0.5) / 64
+    couplings = (1.0 - s) * 8.0 / s
+    warm = list(rank_one._slice_roots(levels, weights, couplings, 64))
+    monkeypatch.setattr(rank_one, "WARM_MIN_STEPS", 65)
+    cold = list(rank_one._slice_roots(levels, weights, couplings, 64))
+    worst = {"warm": 0.0, "cold": 0.0}
+    for g, roots in zip(couplings, zip(warm, cold)):
+        (pole, offset, _), (cold_pole, cold_offset, _) = roots
+        for row in range(levels.size):
+            gap = [levels[pole[row]], offset[row], -levels[cold_pole[row]], -cold_offset[row]]
+            if abs(math.fsum(gap)) <= 4 * 6.19e-16 * abs(cold_offset[row]):
+                continue
+            for name, (p, o, _) in zip(worst, roots):
+                ref, at = _reference_root(levels, weights, g, p[row], o[row])
+                error = float(abs(at + decimal.Decimal(float(o[row])) - ref) / abs(ref - at))
+                worst[name] = max(worst[name], error)
+    assert worst["warm"] <= 4 * worst["cold"]
 
 
 def test_far_pole_fit_build_forms_subquadratic_terms(monkeypatch):
